@@ -103,6 +103,11 @@ def _resolve_threads(args, parser) -> int:
     return args.threads if args.threads is not None else _default_threads(parser)
 
 
+def _print_levels(levels) -> None:
+    for s in levels:
+        print(f"level {s.level:>3}  classes {s.class_count:>9}  nodes {s.node_sum}")
+
+
 def _cmd_count(args, parser) -> int:
     n = args.n
     constraint = _parse_constraint(args, n, parser)
@@ -134,8 +139,7 @@ def _cmd_count(args, parser) -> int:
     )
     if args.format == "plain":
         if args.stats:
-            for s in result.levels:
-                print(f"level {s.level:>3}  classes {s.class_count:>9}  nodes {s.node_sum}")
+            _print_levels(result.levels)
         print(result.count)
     elif args.format == "csv":
         print("n,count")
@@ -240,8 +244,7 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_stats(args, parser) -> int:
     result = search.count(args.n, None)
-    for s in result.levels:
-        print(f"level {s.level:>3}  classes {s.class_count:>9}  nodes {s.node_sum}")
+    _print_levels(result.levels)
     print(f"peak classes: {max(s.class_count for s in result.levels)}", file=sys.stderr)
     return 0
 

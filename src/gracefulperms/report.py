@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from . import state
 from .search import (
     ClassMap,
@@ -21,7 +23,6 @@ from .search import (
     Constraint,
     CountResult,
     LevelStats,
-    MultiplicityPair,
     OneEndpoint,
     TwoEndpoints,
     count,
@@ -99,22 +100,23 @@ def checkpoint_filename(n: int, constraint: Constraint, level: int) -> str:
 
 
 def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constraint = None) -> None:
-    """Write one level's class map; records are sorted by key."""
+    """Write one level's class map; records are in the map's sorted key order."""
+    if cmap.constraint is not None and cmap.constraint != constraint:
+        raise CheckpointError(
+            f"map was built for {cmap.constraint!r}, cannot be saved as {constraint!r}"
+        )
+    rows = len(cmap.keys)
+    if rows and (cmap.mult.min() < 0 or cmap.mult.max() >> (8 * _MULT_BYTES)):
+        raise CheckpointError("multiplicity does not fit the 128-bit checkpoint field")
+    # Each multiplicity as two little-endian 64-bit limbs, low limb first.
+    limbs = np.empty((rows, 2, 2), dtype="<u8")
+    limbs[:, :, 0] = cmap.mult & 0xFFFF_FFFF_FFFF_FFFF
+    limbs[:, :, 1] = cmap.mult >> 64
+    records = np.concatenate([cmap.keys, limbs.reshape(rows, 4).view(np.uint8)], axis=1)
     tag, la, lb = _constraint_tag(constraint)
-    parts = [MAGIC, _HEADER.pack(VERSION, cmap.n, tag, la, lb, cmap.level, len(cmap.entries))]
-    for key in sorted(cmap.entries):
-        d, r = cmap.entries[key]
-        try:
-            parts.append(key)
-            parts.append(d.to_bytes(_MULT_BYTES, "little"))
-            parts.append(r.to_bytes(_MULT_BYTES, "little"))
-        except OverflowError as exc:
-            raise CheckpointError(
-                f"multiplicity does not fit the 128-bit checkpoint field: {exc}"
-            ) from None
-    blob = b"".join(parts)
+    header = MAGIC + _HEADER.pack(VERSION, cmap.n, tag, la, lb, cmap.level, rows)
     try:
-        Path(path).write_bytes(blob)
+        Path(path).write_bytes(header + records.tobytes())
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -161,7 +163,9 @@ def load_checkpoint(
             f"{path}: truncated, {len(blob)} bytes but header promises "
             f"{offset + header.records * record}"
         )
-    entries: dict[bytes, MultiplicityPair] = {}
+    start = offset
+    pairs = []
+    prev = b""
     for i in range(header.records):
         key = blob[offset : offset + 2 * header.n]
         offset += 2 * header.n
@@ -190,10 +194,16 @@ def load_checkpoint(
             raise CheckpointError(
                 f"{path}: record {i} is self-complementary but has a reflected count"
             )
-        if key in entries:
+        if key == prev:
             raise CheckpointError(f"{path}: duplicate key in record {i}")
-        entries[key] = MultiplicityPair(d, r)
-    return ClassMap(header.n, header.level, entries)
+        if key < prev:
+            raise CheckpointError(f"{path}: record {i} is out of key order")
+        prev = key
+        pairs.append((d, r))
+    records = np.frombuffer(blob, dtype=np.uint8, count=len(blob) - start, offset=start)
+    keys = records.reshape(header.records, record)[:, : 2 * header.n].copy()
+    mult = np.array(pairs, dtype=object).reshape(-1, 2)
+    return ClassMap(header.n, header.level, keys, mult, header.constraint)
 
 
 def find_resume_checkpoint(
@@ -219,18 +229,21 @@ def find_resume_checkpoint(
 
 
 def estimated_level_bytes(n: int) -> int:
-    """Coarse upper estimate of the memory one BFS level needs.
+    """Upper estimate of the peak memory of ``count(n)``.
 
-    Calibrated on measured peak class counts (850 at n=20, 21k at n=30,
-    372k at n=40, growing about 1.33x per extra label) and deliberately
-    generous, so the table command refuses before thrashing, never after.
+    Peak classes are estimated from measured ones (850 at n=20, 21k at
+    n=30, 372k at n=40, growing about 1.33x per extra label).  Bytes per
+    peak class and the fixed part come from the peak RSS of ``count(n)``
+    in a fresh process, single worker: 44, 87, 135 and 440 MiB at n = 30,
+    34, 36 and 40, about 730 to 1,110 bytes per peak class above a 29 MiB
+    start.  Both are rounded up, so the table command refuses before
+    memory runs out, never after.
     """
     if n <= 40:
         classes = int(450_000 * 1.35 ** (n - 40)) + 100
     else:
         classes = int(450_000 * 1.45 ** (n - 40))
-    per_entry = 2 * n + 160  # key bytes plus dict/tuple overhead
-    return 2 * classes * per_entry  # parent and child level coexist
+    return 32 * 2**20 + classes * (24 * n + 200)
 
 
 def build_table(

@@ -3,7 +3,8 @@
 Three independent routes produce counts:
 
 * ``brute_force_count`` filters all n! permutations (small n only),
-* ``dfs_count`` walks the search tree node by node,
+* ``dfs_count`` walks the search tree node by node, editing one state in
+  place (the walker ``enumerate_graceful`` lists permutations with),
 * ``count`` runs the production level-synchronous BFS that folds
   complement-equivalent states into classes and carries exact
   multiplicities, split by orientation so endpoint constraints stay
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -28,16 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .state import (
-    SENTINEL,
-    PartialState,
-    add_edge,
-    can_add_edge,
-    candidate_pairs,
-    complement_key,
-    encode,
-    new_root,
-)
+from .state import SENTINEL, complement_key, encode, new_root
 
 __all__ = [
     "OneEndpoint",
@@ -63,8 +57,13 @@ __all__ = [
 #: Largest n accepted by the brute-force oracle (11! is already 4*10^7).
 BRUTE_FORCE_LIMIT = 11
 
-#: Below this many classes the pure-Python expansion beats the vectorized one.
-_NUMPY_MIN_ROWS = 192
+#: Below this many classes the per-key loop beats the array path, whose
+#: fixed cost per level is about 130 us.
+_ARRAY_MIN_ROWS = 16
+
+#: Parent rows the array path expands and groups at a time; bounds the
+#: memory that the children of one level take before they are merged.
+_BLOCK_ROWS = 4096
 
 #: Levels smaller than this are never worth farming out to worker processes.
 _PARALLEL_MIN_ROWS = 4096
@@ -93,29 +92,56 @@ Constraint = Union[None, OneEndpoint, TwoEndpoints]
 
 
 class MultiplicityPair(NamedTuple):
-    """Exact class-member counts, split by stored orientation.
-
-    Arbitrary-precision integers, so in-memory accumulation can never
-    wrap; the checkpoint writer enforces its fixed 128-bit record field.
-    """
+    """Exact class-member counts, split by stored orientation."""
 
     direct: int
     reflected: int
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassMap:
-    """All equivalence classes on one level, keyed by canonical encoding.
+    """All equivalence classes on one level.
 
-    ``level`` is the label of the next edge to place; 0 means terminal.
+    ``keys`` is a sorted, duplicate-free ``(rows, 2n)`` uint8 array of
+    canonical keys, in checkpoint byte order; ``mult`` is the matching
+    ``(rows, 2)`` object array of exact Python ints, (direct, reflected),
+    so accumulation can never wrap.  ``level`` is the label of the next
+    edge to place; 0 means terminal.  ``constraint`` is the one the map
+    was built for: its pruning is only sound for that constraint, while a
+    map built for None holds every tree node.
     """
 
     n: int
     level: int
-    entries: dict[bytes, MultiplicityPair]
+    keys: np.ndarray
+    mult: np.ndarray
+    constraint: Constraint = None
 
     def node_sum(self) -> int:
-        return sum(d + r for d, r in self.entries.values())
+        return int(self.mult.sum())
+
+    @property
+    def entries(self) -> Mapping[bytes, MultiplicityPair]:
+        """Read-only ``{key: MultiplicityPair}`` view of the arrays."""
+        return _Entries(self.keys, self.mult)
+
+
+class _Entries(Mapping):
+    def __init__(self, keys: np.ndarray, mult: np.ndarray) -> None:
+        self._keys = keys
+        self._mult = mult
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        return (row.tobytes() for row in self._keys)
+
+    def __getitem__(self, key: bytes) -> MultiplicityPair:
+        i = bisect_left(range(len(self)), key, key=lambda j: self._keys[j].tobytes())
+        if i == len(self) or self._keys[i].tobytes() != key:
+            raise KeyError(key)
+        return MultiplicityPair(*self._mult[i])
 
 
 @dataclass(frozen=True)
@@ -245,71 +271,114 @@ def brute_force_count(n: int, constraint: Constraint = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Oracle 2: plain recursive tree search (no folding)
+# Oracle 2 and enumeration: one in-place walk of the search tree
 # ---------------------------------------------------------------------------
 
 
-def _state_dead(s: PartialState, constraint: Constraint) -> bool:
-    """True when no descendant of this concrete node can satisfy the
-    constraint: a required endpoint already interior, or the two required
-    endpoints pair up before the path is complete."""
-    if constraint is None:
-        return False
-    if isinstance(constraint, OneEndpoint):
-        return s.free[constraint.a] == 0
-    a, b = constraint.a, constraint.b
-    if a == b:
-        return True  # a path of >= 2 labels has two distinct ends
-    if s.free[a] == 0 or s.free[b] == 0:
-        return True
-    return s.forb[a] == b and s.next_edge_label > 0
+class _Truncated(Exception):
+    pass
 
 
-def _terminal_value(s: PartialState, constraint: Constraint) -> int:
-    ends = s.endpoints()
-    if constraint is None:
-        return 2  # the path can be read from either end
-    if isinstance(constraint, OneEndpoint):
-        return 1 if constraint.a in ends else 0
-    return 1 if ends == {constraint.a, constraint.b} else 0
+def _walk(n: int, constraint: Constraint, prune: bool, emit=None) -> int:
+    """Depth-first walk of the search tree for ``n >= 2``, no folding.
+
+    One state (slot counts, endpoint pairing, placed edges) is edited in
+    place and restored on the way back.  Returns the number of graceful
+    permutations satisfying the constraint; with ``emit``, also hands each
+    label sequence to it, in a deterministic order.
+    """
+    free = [2] * n
+    forb = list(range(n))
+    placed = [0] * n  # the edge labelled k joins placed[k] and placed[k] + k
+
+    def dead(k: int) -> bool:
+        """No leaf below the current node, whose next edge is ``k``,
+        satisfies the constraint: a required endpoint is interior, both
+        required ends are one label, or they end one partial path before
+        the path is complete."""
+        if constraint is None:
+            return False
+        if isinstance(constraint, OneEndpoint):
+            return free[constraint.a] == 0
+        a, b = constraint.a, constraint.b
+        if a == b or free[a] == 0 or free[b] == 0:
+            return True
+        return forb[a] == b and k > 0
+
+    def read_path(start: int) -> tuple[int, ...]:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for k in range(1, n):
+            u = placed[k]
+            adj[u].append(u + k)
+            adj[u + k].append(u)
+        seq = [start]
+        prev = -1
+        cur = start
+        for _ in range(n - 1):
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            seq.append(nxt)
+            prev, cur = cur, nxt
+        return tuple(seq)
+
+    def leaf() -> int:
+        """Permutations a finished path yields: both of its readings when
+        unconstrained, else the one from the required start label."""
+        if constraint is None:
+            if emit is not None:
+                seq = read_path(free.index(1))
+                emit(seq)
+                emit(seq[::-1])
+            return 2
+        if dead(0):
+            return 0
+        if emit is not None:
+            emit(read_path(constraint.a))
+        return 1
+
+    def rec(k: int) -> int:
+        if k == 0:
+            return leaf()
+        total = 0
+        for u in range(n - k):
+            v = u + k
+            if free[u] == 0 or free[v] == 0 or forb[u] == v:
+                continue
+            pu, pv = forb[u], forb[v]
+            free[u] -= 1
+            free[v] -= 1
+            forb[pu], forb[pv] = pv, pu
+            if free[u] == 0:
+                forb[u] = u
+            if free[v] == 0:
+                forb[v] = v
+            placed[k] = u
+            if not (prune and dead(k - 1)):
+                total += rec(k - 1)
+            free[u] += 1
+            free[v] += 1
+            # forb[pu] was u and forb[pv] was v before the edge, in both
+            # the unused and the endpoint case.
+            forb[u] = pu
+            forb[v] = pv
+            forb[pu] = u
+            forb[pv] = v
+        return total
+
+    return rec(n - 1)
 
 
 def dfs_count(n: int, constraint: Constraint = None, *, prune: bool = True) -> int:
-    """Count by expanding the search tree node by node.
+    """Count by walking the search tree node by node, without folding.
 
-    Exercises ``can_add_edge``/``add_edge`` directly and applies the same
-    terminal constraint semantics as ``finalize``; no equivalence folding.
+    Applies the same terminal constraint semantics as ``finalize``; with
+    ``prune``, subtrees that cannot satisfy the constraint are skipped.
     """
     if n < 1:
         raise ValueError(f"label count must be >= 1, got {n}")
     _check_constraint(n, constraint)
     if n == 1:
         return _single_vertex_count(constraint)
-    pairs = [candidate_pairs(n, k) for k in range(n)]
-
-    def rec(s: PartialState) -> int:
-        k = s.next_edge_label
-        if k == 0:
-            return _terminal_value(s, constraint)
-        total = 0
-        for u, v in pairs[k]:
-            if can_add_edge(s, u, v):
-                child = add_edge(s, u, v)
-                if prune and _state_dead(child, constraint):
-                    continue
-                total += rec(child)
-        return total
-
-    return rec(new_root(n))
-
-
-# ---------------------------------------------------------------------------
-# Enumeration (materializes the actual label sequences)
-# ---------------------------------------------------------------------------
-
-
-class _Truncated(Exception):
-    pass
+    return _walk(n, constraint, prune)
 
 
 def enumerate_graceful(
@@ -325,27 +394,6 @@ def enumerate_graceful(
         raise ValueError("limit must be >= 0")
     out: list[GracefulPermutation] = []
     result = EnumerationResult(out)
-    if n == 1:
-        if _single_vertex_count(constraint):
-            if limit == 0:
-                result.truncated = True
-            else:
-                out.append(GracefulPermutation((0,)))
-        return result
-
-    free = [2] * n
-    forb = list(range(n))
-    adj: list[list[int]] = [[] for _ in range(n)]
-
-    def read_path(start: int) -> tuple[int, ...]:
-        seq = [start]
-        prev = -1
-        cur = start
-        for _ in range(n - 1):
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            seq.append(nxt)
-            prev, cur = cur, nxt
-        return tuple(seq)
 
     def emit(seq: tuple[int, ...]) -> None:
         if limit is not None and len(out) >= limit:
@@ -353,62 +401,12 @@ def enumerate_graceful(
             raise _Truncated
         out.append(GracefulPermutation(seq))
 
-    def emit_terminal() -> None:
-        ends = sorted(u for u in range(n) if free[u] == 1)
-        if constraint is None:
-            seq = read_path(ends[0])
-            emit(seq)
-            emit(seq[::-1])
-        elif isinstance(constraint, OneEndpoint):
-            if constraint.a in ends:
-                emit(read_path(constraint.a))
-        else:
-            if {constraint.a, constraint.b} == set(ends):
-                emit(read_path(constraint.a))
-
-    def dead(remaining: int) -> bool:
-        if constraint is None:
-            return False
-        if isinstance(constraint, OneEndpoint):
-            return free[constraint.a] == 0
-        a, b = constraint.a, constraint.b
-        if a == b or free[a] == 0 or free[b] == 0:
-            return True
-        return forb[a] == b and remaining > 0
-
-    def rec(k: int) -> None:
-        if k == 0:
-            emit_terminal()
-            return
-        for u in range(n - k):
-            v = u + k
-            if free[u] == 0 or free[v] == 0 or forb[u] == v:
-                continue
-            pu, pv = forb[u], forb[v]
-            free[u] -= 1
-            free[v] -= 1
-            forb[pu], forb[pv] = pv, pu
-            if free[u] == 0:
-                forb[u] = u
-            if free[v] == 0:
-                forb[v] = v
-            adj[u].append(v)
-            adj[v].append(u)
-            if not dead(k - 1):
-                rec(k - 1)
-            adj[u].pop()
-            adj[v].pop()
-            free[u] += 1
-            free[v] += 1
-            # forb[pu] was u and forb[pv] was v before the edge, in both
-            # the unused and the endpoint case.
-            forb[u] = pu
-            forb[v] = pv
-            forb[pu] = u
-            forb[pv] = v
-
     try:
-        rec(n - 1)
+        if n == 1:
+            if _single_vertex_count(constraint):
+                emit((0,))
+        else:
+            _walk(n, constraint, True, emit)
     except _Truncated:
         pass
     return result
@@ -419,48 +417,130 @@ def enumerate_graceful(
 # ---------------------------------------------------------------------------
 
 
+def _mult_array(pairs) -> np.ndarray:
+    return np.array(pairs, dtype=object).reshape(-1, 2)
+
+
 def root_map(n: int) -> ClassMap:
-    """Level-(n-1) map holding the single empty state."""
-    key = encode(new_root(n))
-    return ClassMap(n, n - 1, {key: MultiplicityPair(1, 0)})
+    """Level-(n-1) map holding the single empty state; nothing is pruned
+    yet, so it is built for None and serves every constraint."""
+    key = np.frombuffer(encode(new_root(n)), dtype=np.uint8).reshape(1, 2 * n)
+    return ClassMap(n, n - 1, key, _mult_array([(1, 0)]))
 
 
-def _dead_columns(n: int, child_level: int, constraint: Constraint):
-    """Byte positions to test for orientation-aware pruning, or None.
+def _dead_tests(n: int, level: int, constraint: Constraint):
+    """The pruning rule for keys on ``level`` (the next edge label).
 
-    Returns (a, b, pair_check) for the direct slot and the same for the
-    reflected slot, expressed in representative coordinates.  ``b`` is
-    None for single-endpoint constraints; ``pair_check`` is true when the
-    forb[a]==b dead end applies (two endpoints, path not yet complete).
+    A slot is dead when no leaf below it satisfies the constraint: a
+    required endpoint has no free slot left, both required ends are one
+    label, or, before the path is complete, the two required ends end one
+    partial path.  Returns None when nothing can die, else the
+    ``(byte position, value)`` tests, any of which kills a slot, for the
+    direct slot and for the reflected slot, both in key coordinates.
     """
     if constraint is None:
         return None
+
+    def tests(*ends):
+        out = [(2 * e, 0) for e in ends]
+        if len(ends) == 2:
+            a, b = ends
+            if a == b:  # a path of two or more labels has two distinct ends
+                out += [(2 * a, 1), (2 * a, 2)]
+            elif level > 0:
+                out.append((2 * a + 1, b))
+        return out
+
     last = n - 1
     if isinstance(constraint, OneEndpoint):
-        return (constraint.a, None, False), (last - constraint.a, None, False)
-    a, b = constraint.a, constraint.b
-    pair_check = child_level > 0
-    return (a, b, pair_check), (last - a, last - b, pair_check)
+        ends = (constraint.a,)
+    else:
+        ends = (constraint.a, constraint.b)
+    return tests(*ends), tests(*(last - e for e in ends))
 
 
-def _slot_dead(key: bytes, spec) -> bool:
-    a, b, pair_check = spec
-    if key[2 * a] == 0:
-        return True
-    if b is None:
-        return False
-    if key[2 * b] == 0:
-        return True
-    return pair_check and key[2 * a + 1] == b
+def _dead_rows(keys: np.ndarray, tests) -> np.ndarray:
+    dead = np.zeros(len(keys), dtype=bool)
+    for pos, value in tests:
+        dead |= keys[:, pos] == value
+    return dead
 
 
-def _expand_items_python(n, k, items, dead):
+def _group(parts):
+    """Sort the rows of a list of (keys, mult) pairs by key bytes and add
+    up the multiplicities of equal keys.  The list is emptied, so each
+    input array can be freed as soon as it is copied."""
+    w = parts[0][0].shape[1]
+    rows = np.concatenate([p[0] for p in parts]).view(np.dtype((np.void, w))).ravel()
+    mult = np.concatenate([p[1] for p in parts])
+    parts.clear()
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    mult = mult[order]
+    del order
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(first)
+    keys = rows[starts].view(np.uint8).reshape(-1, w)
+    return keys, np.add.reduceat(mult, starts, axis=0) if len(starts) else mult
+
+
+def _expand_block(job):
+    """Children of a block of parent rows: placed, canonicalised, pruned
+    and grouped, all as array operations."""
+    n, k, keys, mult, dead = job
+    F = keys[:, 0::2]
+    P = keys[:, 1::2]
+    m = n - k
+    ok = (F[:, :m] != 0) & (F[:, k:] != 0) & (P[:, :m] != np.arange(k, n))
+    row, u = np.nonzero(ok)
+    v = u + k
+    fu = F[row, u]
+    fv = F[row, v]
+    pu = np.where(fu == 1, P[row, u], u)
+    pv = np.where(fv == 1, P[row, v], v)
+    i = np.arange(len(row))
+    child = keys[row]
+    child[i, 2 * u] = fu - 1
+    child[i, 2 * v] = fv - 1
+    child[i, 2 * pu + 1] = pv
+    child[i, 2 * pv + 1] = pu
+    child[i[fu == 1], 2 * u[fu == 1] + 1] = SENTINEL
+    child[i[fv == 1], 2 * v[fv == 1] + 1] = SENTINEL
+    # The complemented encoding of every child, then a rowwise
+    # lexicographic comparison at the first differing byte.
+    comp = child[:, np.arange(2 * n).reshape(n, 2)[::-1].ravel()]
+    pc = comp[:, 1::2]
+    comp[:, 1::2] = np.where(pc == SENTINEL, SENTINEL, (n - 1) - pc)
+    neq = child != comp
+    first = neq.argmax(axis=1)
+    self_comp = ~neq[i, first]
+    reflected = comp[i, first] < child[i, first]
+    canon = child
+    canon[reflected] = comp[reflected]
+    d = mult[row, 0]
+    r = mult[row, 1]
+    dd = np.where(reflected, r, d)
+    rr = np.where(reflected, d, r)
+    dd[self_comp] = d[self_comp] + r[self_comp]
+    rr[self_comp] = 0
+    if dead is not None:
+        dd[_dead_rows(canon, dead[0])] = 0
+        rr[_dead_rows(canon, dead[1])] = 0
+        live = (dd != 0) | (rr != 0)
+        canon, dd, rr = canon[live], dd[live], rr[live]
+    return _group([(canon, np.stack([dd, rr], axis=1))])
+
+
+def _expand_keys(n, k, keys, mult, dead):
+    """The same step one child at a time, for levels too small to pay
+    for the array path's fixed cost."""
+    w = 2 * n
+    blob = keys.tobytes()
     acc: dict[bytes, list[int]] = {}
     get = acc.get
-    dir_spec = ref_spec = None
-    if dead is not None:
-        dir_spec, ref_spec = dead
-    for key, d, r in items:
+    for j, (d, r) in enumerate(mult.tolist()):
+        key = blob[j * w : (j + 1) * w]
         frees = key[0::2]
         parts = key[1::2]
         for u in range(n - k):
@@ -489,9 +569,9 @@ def _expand_items_python(n, k, items, dead):
             else:
                 ckey, dd, rr = kd, d + r, 0
             if dead is not None:
-                if _slot_dead(ckey, dir_spec):
+                if any(ckey[p] == x for p, x in dead[0]):
                     dd = 0
-                if _slot_dead(ckey, ref_spec):
+                if any(ckey[p] == x for p, x in dead[1]):
                     rr = 0
                 if dd == 0 and rr == 0:
                     continue
@@ -501,118 +581,14 @@ def _expand_items_python(n, k, items, dead):
             else:
                 cur[0] += dd
                 cur[1] += rr
-    return acc
+    order = sorted(acc)
+    out = np.frombuffer(b"".join(order), dtype=np.uint8).reshape(-1, w)
+    return out, _mult_array([acc[key] for key in order])
 
 
-def _expand_items_numpy(n, k, items, dead):
-    w = 2 * n
-    keys = b"".join(item[0] for item in items)
-    mult_d = [item[1] for item in items]
-    mult_r = [item[2] for item in items]
-    K = np.frombuffer(keys, dtype=np.uint8).reshape(len(items), w)
-    F = K[:, 0::2]
-    P = K[:, 1::2]
-    last = np.uint8(n - 1)
-    acc: dict[bytes, list[int]] = {}
-    get = acc.get
-    for u in range(n - k):
-        v = u + k
-        valid = (F[:, u] != 0) & (F[:, v] != 0) & (P[:, u] != v)
-        idx = np.flatnonzero(valid)
-        if idx.size == 0:
-            continue
-        child = K[idx].copy()
-        fu = F[idx, u]
-        fv = F[idx, v]
-        pu = np.where(fu == 1, P[idx, u], u).astype(np.intp)
-        pv = np.where(fv == 1, P[idx, v], v).astype(np.intp)
-        child[:, 2 * u] = fu - 1
-        child[:, 2 * v] = fv - 1
-        rows = np.arange(idx.size)
-        child[rows, 2 * pu + 1] = pv.astype(np.uint8)
-        child[rows, 2 * pv + 1] = pu.astype(np.uint8)
-        child[fu == 1, 2 * u + 1] = SENTINEL
-        child[fv == 1, 2 * v + 1] = SENTINEL
-        # Complemented encodings of every child, then a rowwise
-        # lexicographic comparison at the first differing byte.
-        comp = np.empty_like(child)
-        comp[:, 0::2] = child[:, 0::2][:, ::-1]
-        pc = child[:, 1::2][:, ::-1]
-        comp[:, 1::2] = np.where(pc == SENTINEL, pc, last - pc)
-        neq = child != comp
-        anyd = neq.any(axis=1)
-        first = neq.argmax(axis=1)
-        reflected = anyd & (comp[rows, first] < child[rows, first])
-        canon = np.where(reflected[:, None], comp, child)
-        blob = canon.tobytes()
-        src = idx.tolist()
-        refl = reflected.tolist()
-        selfc = (~anyd).tolist()
-        if dead is not None:
-            dir_spec, ref_spec = dead
-            dead_d = _dead_mask(canon, dir_spec)
-            dead_r = _dead_mask(canon, ref_spec)
-        off = 0
-        for j in range(idx.size):
-            row = src[j]
-            d = mult_d[row]
-            r = mult_r[row]
-            if selfc[j]:
-                dd, rr = d + r, 0
-            elif refl[j]:
-                dd, rr = r, d
-            else:
-                dd, rr = d, r
-            if dead is not None:
-                if dead_d[j]:
-                    dd = 0
-                if dead_r[j]:
-                    rr = 0
-                if dd == 0 and rr == 0:
-                    off += w
-                    continue
-            ckey = blob[off : off + w]
-            off += w
-            cur = get(ckey)
-            if cur is None:
-                acc[ckey] = [dd, rr]
-            else:
-                cur[0] += dd
-                cur[1] += rr
-    return acc
-
-
-def _dead_mask(canon, spec):
-    a, b, pair_check = spec
-    mask = canon[:, 2 * a] == 0
-    if b is not None:
-        mask = mask | (canon[:, 2 * b] == 0)
-        if pair_check:
-            mask = mask | (canon[:, 2 * a + 1] == b)
-    return mask.tolist()
-
-
-def _expand_items(n, k, items, constraint, prune, engine):
-    dead = _dead_columns(n, k - 1, constraint) if prune else None
-    if engine == "python" or (engine == "auto" and len(items) < _NUMPY_MIN_ROWS):
-        return _expand_items_python(n, k, items, dead)
-    return _expand_items_numpy(n, k, items, dead)
-
-
-def _expand_chunk(args):
-    n, k, items, constraint, prune, engine = args
-    return _expand_items(n, k, items, constraint, prune, engine)
-
-
-def _merge_into(acc: dict[bytes, list[int]], part: dict[bytes, list[int]]) -> None:
-    get = acc.get
-    for key, dr in part.items():
-        cur = get(key)
-        if cur is None:
-            acc[key] = dr
-        else:
-            cur[0] += dr[0]
-            cur[1] += dr[1]
+def _check_built_for(cmap: ClassMap, constraint: Constraint) -> None:
+    if cmap.constraint is not None and cmap.constraint != constraint:
+        raise ValueError(f"map was built for {cmap.constraint!r}, not {constraint!r}")
 
 
 def expand_level(
@@ -620,7 +596,6 @@ def expand_level(
     constraint: Constraint = None,
     *,
     prune: bool = True,
-    engine: str = "auto",
 ) -> ClassMap:
     """One BFS step: place the edge labelled ``cmap.level`` everywhere.
 
@@ -631,47 +606,45 @@ def expand_level(
     whose orientation can no longer satisfy the constraint are zeroed
     and entries with both slots zero are dropped.
     """
+    return _expand(cmap, constraint, prune, map)
+
+
+def _expand(cmap: ClassMap, constraint: Constraint, prune: bool, mapper) -> ClassMap:
+    """``expand_level``, running the array path's blocks through ``mapper``."""
     if cmap.level < 1:
         raise ValueError(f"cannot expand a terminal map (level {cmap.level})")
-    items = [(key, p[0], p[1]) for key, p in cmap.entries.items()]
-    acc = _expand_items(cmap.n, cmap.level, items, constraint, prune, engine)
-    entries = {key: MultiplicityPair(dr[0], dr[1]) for key, dr in acc.items()}
-    return ClassMap(cmap.n, cmap.level - 1, entries)
+    _check_built_for(cmap, constraint)
+    n, k = cmap.n, cmap.level
+    dead = _dead_tests(n, k - 1, constraint) if prune else None
+    rows = len(cmap.keys)
+    if rows == 0 or rows < _ARRAY_MIN_ROWS:
+        keys, mult = _expand_keys(n, k, cmap.keys, cmap.mult, dead)
+    else:
+        jobs = [
+            (n, k, cmap.keys[i : i + _BLOCK_ROWS], cmap.mult[i : i + _BLOCK_ROWS], dead)
+            for i in range(0, rows, _BLOCK_ROWS)
+        ]
+        keys, mult = _group(list(mapper(_expand_block, jobs)))
+    return ClassMap(n, k - 1, keys, mult, constraint)
 
 
 def finalize(cmap: ClassMap, constraint: Constraint = None) -> int:
     """Read the count off a terminal map.
 
     Unconstrained, every terminal node is doubled (a path is read from
-    either end); with a start label fixed, each matching node is read in
-    exactly one direction.
+    either end); with a start label fixed, each node whose slot survives
+    the pruning rule at level 0 is read in exactly one direction.
     """
     if cmap.level != 0:
         raise ValueError(f"finalize needs a terminal map, got level {cmap.level}")
-    if constraint is None:
+    _check_built_for(cmap, constraint)
+    dead = _dead_tests(cmap.n, 0, constraint)
+    if dead is None:
         return 2 * cmap.node_sum()
-    n = cmap.n
-    last = n - 1
-    total = 0
-    if isinstance(constraint, OneEndpoint):
-        a = constraint.a
-        ar = last - a
-        for key, (d, r) in cmap.entries.items():
-            if d and key[2 * a] == 1:
-                total += d
-            if r and key[2 * ar] == 1:
-                total += r
-        return total
-    a, b = constraint.a, constraint.b
-    ar, br = last - a, last - b
-    for key, (d, r) in cmap.entries.items():
-        # A terminal key has exactly two endpoint labels, so checking
-        # membership of both required labels checks set equality.
-        if d and a != b and key[2 * a] == 1 and key[2 * b] == 1:
-            total += d
-        if r and ar != br and key[2 * ar] == 1 and key[2 * br] == 1:
-            total += r
-    return total
+    return sum(
+        int(cmap.mult[~_dead_rows(cmap.keys, tests), slot].sum())
+        for slot, tests in enumerate(dead)
+    )
 
 
 def count(
@@ -680,16 +653,16 @@ def count(
     *,
     workers: int = 1,
     prune: bool = True,
-    engine: str = "auto",
     initial: Optional[ClassMap] = None,
     on_level: Optional[Callable[[ClassMap], None]] = None,
 ) -> CountResult:
     """Exact count of graceful permutations satisfying the constraint.
 
-    ``workers`` > 1 splits each level across processes; results are
-    bit-identical to the single-worker run because the per-class merge is
-    associative and commutative.  ``initial`` resumes from a previously
-    saved map; ``on_level`` is called after every completed level.
+    ``workers`` > 1 expands the blocks of large levels in processes;
+    results are bit-identical to the single-worker run because the
+    per-class merge is exact and independent of the blocks.  ``initial``
+    resumes from a previously saved map built for the same constraint;
+    ``on_level`` is called after every completed level.
     """
     t0 = time.perf_counter()
     if n < 1:
@@ -705,10 +678,14 @@ def count(
     if initial is not None:
         if initial.n != n:
             raise ValueError(f"initial map is for n={initial.n}, not n={n}")
+        if initial.constraint != constraint:
+            raise ValueError(
+                f"initial map was built for {initial.constraint!r}, not {constraint!r}"
+            )
         cmap = initial
     else:
         cmap = root_map(n)
-    stats = [LevelStats(cmap.level, len(cmap.entries), cmap.node_sum(), 0.0)]
+    stats = [LevelStats(cmap.level, len(cmap.keys), cmap.node_sum(), 0.0)]
 
     pool = None
     try:
@@ -716,14 +693,14 @@ def count(
             pool = multiprocessing.get_context("fork").Pool(workers)
         while cmap.level > 0:
             t1 = time.perf_counter()
-            if pool is not None and len(cmap.entries) >= _PARALLEL_MIN_ROWS:
-                cmap = _expand_parallel(cmap, constraint, prune, engine, pool, workers)
+            if pool is not None and len(cmap.keys) >= _PARALLEL_MIN_ROWS:
+                cmap = _expand(cmap, constraint, prune, pool.map)
             else:
-                cmap = expand_level(cmap, constraint, prune=prune, engine=engine)
+                cmap = expand_level(cmap, constraint, prune=prune)
             stats.append(
                 LevelStats(
                     cmap.level,
-                    len(cmap.entries),
+                    len(cmap.keys),
                     cmap.node_sum(),
                     time.perf_counter() - t1,
                 )
@@ -737,16 +714,3 @@ def count(
 
     value = finalize(cmap, constraint)
     return CountResult(n, constraint, value, tuple(stats), time.perf_counter() - t0)
-
-
-def _expand_parallel(cmap, constraint, prune, engine, pool, workers) -> ClassMap:
-    items = [(key, p[0], p[1]) for key, p in cmap.entries.items()]
-    step = (len(items) + workers - 1) // workers
-    chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    jobs = [(cmap.n, cmap.level, chunk, constraint, prune, engine) for chunk in chunks]
-    parts = pool.map(_expand_chunk, jobs)
-    acc = parts[0]
-    for part in parts[1:]:
-        _merge_into(acc, part)
-    entries = {key: MultiplicityPair(dr[0], dr[1]) for key, dr in acc.items()}
-    return ClassMap(cmap.n, cmap.level - 1, entries)

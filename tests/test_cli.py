@@ -129,6 +129,14 @@ def test_table_budget_refusal(capsys):
     assert "refused" in err
 
 
+def test_table_budget_refuses_forty_labels_in_300_mib(capsys):
+    # count(40) peaks at about 440 MiB, so this must refuse before starting.
+    code, out, err = run(capsys, "table", "--from", "40", "--to", "40", "--budget-mb", "300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("refused:")
+
+
 def test_ratios(capsys):
     code, out, _ = run(capsys, "ratios", "--from", "1", "--to", "5")
     assert code == 0

@@ -22,6 +22,8 @@ from gracefulperms.report import (
     read_checkpoint_header,
     save_checkpoint,
 )
+import numpy as np
+
 from gracefulperms.search import (
     ClassMap,
     ComputationRefused,
@@ -32,6 +34,17 @@ from gracefulperms.search import (
     expand_level,
     root_map,
 )
+
+
+def _class_map(n, level, entries):
+    """A ClassMap holding exactly these {key: (direct, reflected)} records."""
+    keys = sorted(entries)
+    return ClassMap(
+        n,
+        level,
+        np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, 2 * n),
+        np.array([entries[key] for key in keys], dtype=object).reshape(-1, 2),
+    )
 
 
 def _level_map(n, stop_level, constraint=None):
@@ -192,6 +205,20 @@ def test_checkpoint_header_read(tmp_path):
     assert (h.n, h.constraint, h.level, h.records) == (8, c, 4, len(m.entries))
 
 
+def test_loaded_checkpoint_carries_its_constraint(tmp_path):
+    c = TwoEndpoints(1, 6)
+    m = _level_map(8, 4, c)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(m, path, c)
+    back = load_checkpoint(path)
+    assert back.constraint == c
+    assert count(8, c, initial=back).count == count(8, c).count
+    with pytest.raises(ValueError, match="built for"):
+        count(8, initial=back)
+    with pytest.raises(CheckpointError, match="built for"):
+        save_checkpoint(m, path, None)
+
+
 def test_checkpoint_rejects_wrong_expectations(tmp_path):
     m = _level_map(7, 3)
     path = tmp_path / "m.ckpt"
@@ -238,7 +265,7 @@ def test_checkpoint_rejects_denormalized_records(tmp_path):
     # junk partner byte on an interior label decodes fine but is not the
     # normalized encoding
     bad_key = bytes([2, 5, 2, 0xFF, 2, 0xFF])
-    save_checkpoint(ClassMap(3, 2, {bad_key: MultiplicityPair(1, 0)}), path)
+    save_checkpoint(_class_map(3, 2, {bad_key: MultiplicityPair(1, 0)}), path)
     with pytest.raises(CheckpointError, match="not a normalized encoding"):
         load_checkpoint(path)
     # a valid state stored under the larger of its two orientations: the
@@ -247,7 +274,7 @@ def test_checkpoint_rejects_denormalized_records(tmp_path):
 
     key = bytes([1, 1, 1, 0, 2, 0xFF, 0, 0xFF])
     assert complement_key(key) < key
-    save_checkpoint(ClassMap(4, decode(key).next_edge_label, {key: MultiplicityPair(1, 0)}), path)
+    save_checkpoint(_class_map(4, decode(key).next_edge_label, {key: MultiplicityPair(1, 0)}), path)
     with pytest.raises(CheckpointError, match="canonical orientation"):
         load_checkpoint(path)
 
@@ -255,18 +282,18 @@ def test_checkpoint_rejects_denormalized_records(tmp_path):
 def test_checkpoint_rejects_invalid_records(tmp_path):
     # zero multiplicity
     key = bytes([1, 1, 1, 0])
-    m = ClassMap(2, 0, {key: MultiplicityPair(0, 0)})
+    m = _class_map(2, 0, {key: MultiplicityPair(0, 0)})
     path = tmp_path / "z.ckpt"
     save_checkpoint(m, path)
     with pytest.raises(CheckpointError, match="zero multiplicity"):
         load_checkpoint(path)
     # reflected count on a self-complementary key
-    m = ClassMap(2, 0, {key: MultiplicityPair(1, 1)})
+    m = _class_map(2, 0, {key: MultiplicityPair(1, 1)})
     save_checkpoint(m, path)
     with pytest.raises(CheckpointError, match="self-complementary"):
         load_checkpoint(path)
     # record level disagreeing with the header
-    wrong = ClassMap(3, 0, dict(_level_map(3, 1).entries))
+    wrong = _class_map(3, 0, dict(_level_map(3, 1).entries))
     save_checkpoint(wrong, path)
     with pytest.raises(CheckpointError, match="level"):
         load_checkpoint(path)
@@ -274,7 +301,7 @@ def test_checkpoint_rejects_invalid_records(tmp_path):
 
 def test_checkpoint_multiplicity_field_overflow(tmp_path):
     key = bytes([1, 1, 1, 0])
-    m = ClassMap(2, 0, {key: MultiplicityPair(1 << 128, 0)})
+    m = _class_map(2, 0, {key: MultiplicityPair(1 << 128, 0)})
     with pytest.raises(CheckpointError, match="128-bit"):
         save_checkpoint(m, tmp_path / "o.ckpt")
 

@@ -7,8 +7,12 @@ counts are the published ones the engine must reproduce.
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
+from gracefulperms import search
 from gracefulperms.search import (
     ClassMap,
     ComputationRefused,
@@ -152,17 +156,36 @@ def test_expand_rejects_terminal_map():
         expand_level(m)
 
 
-def test_expand_engines_agree():
-    for n in (9, 12):
-        for c in (None, OneEndpoint(1), TwoEndpoints(0, n - 1)):
-            for prune in (True, False):
-                a = root_map(n)
-                b = root_map(n)
-                while a.level > 0:
-                    a = expand_level(a, c, prune=prune, engine="python")
-                    b = expand_level(b, c, prune=prune, engine="numpy")
-                    assert a.entries == b.entries
-                assert finalize(a, c) == finalize(b, c)
+def _all_levels(n, c, prune):
+    m = root_map(n)
+    levels = []
+    while m.level > 0:
+        m = expand_level(m, c, prune=prune)
+        levels.append(m)
+    return levels
+
+
+def test_expand_paths_agree(monkeypatch):
+    """The per-key loop and the array path, each forced to run alone,
+    build identical levels.  Blocks of 7 parent rows make the array path
+    merge children across blocks on every level it handles."""
+    monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
+    grid = [(n, c) for n in (9, 12) for c in (None, OneEndpoint(1), TwoEndpoints(0, n - 1))]
+    for (n, c), prune in itertools.product(grid, (True, False)):
+        monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", 10**9)
+        by_key = _all_levels(n, c, prune)
+        monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", 0)
+        by_array = _all_levels(n, c, prune)
+        for a, b in zip(by_key, by_array, strict=True):
+            assert (a.level, a.constraint) == (b.level, b.constraint)
+            rows = [bytes(row) for row in a.keys]
+            assert rows == sorted(set(rows))
+            assert np.array_equal(a.keys, b.keys)
+            assert a.mult.tolist() == b.mult.tolist()
+        expected = dfs_count(n, c)
+        assert finalize(by_key[-1], c) == finalize(by_array[-1], c) == expected
+        if n == 9:
+            assert expected == brute_force_count(n, c)
 
 
 def test_self_complementary_entries_have_zero_reflected():
@@ -283,6 +306,68 @@ def test_count_resume_from_initial_map():
     assert resumed.levels[0].level == mid.level
     with pytest.raises(ValueError):
         count(19, c, initial=mid)
+
+
+def test_worker_pool_gives_the_single_worker_levels(monkeypatch):
+    """With the pool threshold and block size lowered, the pool expands
+    every level the array path handles, and changes nothing."""
+    monkeypatch.setattr(search, "_PARALLEL_MIN_ROWS", 1)
+    monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
+    pooled = []
+    real_expand = search._expand
+
+    def spy(cmap, constraint, prune, mapper):
+        pooled.append(mapper is not map)
+        return real_expand(cmap, constraint, prune, mapper)
+
+    monkeypatch.setattr(search, "_expand", spy)
+    for n, c in ((16, None), (20, TwoEndpoints(5, 15))):
+        base = count(n, c)
+        for workers in (2, 4):
+            pooled.clear()
+            r = count(n, c, workers=workers)
+            assert any(pooled)
+            assert r.count == base.count
+            assert [(s.level, s.class_count, s.node_sum) for s in r.levels] == [
+                (s.level, s.class_count, s.node_sum) for s in base.levels
+            ]
+
+
+def test_maps_are_refused_for_another_constraint():
+    """A level map only serves the constraint it was built for: pruning
+    for TwoEndpoints(0, 1) would otherwise make count(14) read 0."""
+    maps = []
+    count(14, TwoEndpoints(0, 1), on_level=maps.append)
+    assert all(m.constraint == TwoEndpoints(0, 1) for m in maps)
+    for m in maps:
+        with pytest.raises(ValueError, match="built for"):
+            count(14, initial=m)
+        with pytest.raises(ValueError, match="built for"):
+            count(14, OneEndpoint(0), initial=m)
+    with pytest.raises(ValueError, match="built for"):
+        expand_level(maps[0], None)
+    with pytest.raises(ValueError, match="built for"):
+        finalize(maps[-1], TwoEndpoints(1, 0))
+
+
+def test_maps_resume_under_either_prune_setting():
+    """Pruning only drops slots that cannot reach a leaf satisfying the
+    map's own constraint, so a map resumes exactly with or without it."""
+    c = TwoEndpoints(4, 12)
+    base = count(16, c).count
+    assert base == dfs_count(16, c)
+    for built_with in (True, False):
+        maps = []
+        count(16, c, prune=built_with, on_level=maps.append)
+        for m in maps[::4]:
+            for prune in (True, False):
+                assert count(16, c, prune=prune, initial=m).count == base
+    # A map built for None holds every tree node, so any constraint may
+    # take it further.
+    m = root_map(9)
+    while m.level > 0:
+        m = expand_level(m, OneEndpoint(2)) if m.level == 1 else expand_level(m)
+    assert finalize(m, OneEndpoint(2)) == dfs_count(9, OneEndpoint(2))
 
 
 # -- oracle agreement and symmetries (small sweep; the full sweep lives in

@@ -121,12 +121,17 @@ def _cmd_count(args, parser) -> int:
         ckdir = Path(args.checkpoint_dir)
         ckdir.mkdir(parents=True, exist_ok=True)
         if args.resume:
-            found = report.find_resume_checkpoint(ckdir, n, constraint)
-            if found is not None:
-                initial = report.load_checkpoint(
-                    found, expect_n=n, expect_constraint=constraint
-                )
+            # A damaged file costs its level only: fall back to the next one.
+            for found in report.resume_candidates(ckdir, n, constraint):
+                try:
+                    initial = report.load_checkpoint(
+                        found, expect_n=n, expect_constraint=constraint
+                    )
+                except report.CheckpointError as exc:
+                    print(f"warning: cannot resume from {found}: {exc}", file=sys.stderr)
+                    continue
                 print(f"resuming from {found} (level {initial.level})", file=sys.stderr)
+                break
             else:
                 print("no matching checkpoint found, starting fresh", file=sys.stderr)
 

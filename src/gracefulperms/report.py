@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import state
+from . import search, state
 from .search import (
     ClassMap,
     ComputationRefused,
@@ -37,6 +37,7 @@ __all__ = [
     "read_checkpoint_header",
     "checkpoint_filename",
     "find_resume_checkpoint",
+    "resume_candidates",
     "build_table",
     "format_table",
     "emit_table",
@@ -140,13 +141,64 @@ def read_checkpoint_header(path: Union[str, Path]) -> CheckpointHeader:
     return CheckpointHeader(n, _constraint_from_tag(tag, la, lb), level, records)
 
 
+#: The record checks of ``load_checkpoint``, in the order they are applied;
+#: a record is reported with the first one it fails.
+_RECORD_ERRORS = (
+    "record {i} violates state invariants: {detail}",
+    "record {i} is not a normalized encoding",
+    "record {i} is not the canonical orientation of its class",
+    "record {i} is on level {level}, header says {expected}",
+    "record {i} has zero multiplicity",
+    "record {i} is self-complementary but has a reflected count",
+    "duplicate key in record {i}",
+    "record {i} is out of key order",
+)
+
+
+def _record_checks(keys: np.ndarray, limbs: np.ndarray, level: int):
+    """One row per record and one column per ``_RECORD_ERRORS`` entry, True
+    where the record fails that check; the key-order columns are left False.
+    Also returns each record's level, read from its slot sum."""
+    n = keys.shape[1] // 2
+    F = keys[:, 0::2]
+    P = keys[:, 1::2]
+    labels = np.arange(n, dtype=np.uint8)
+    ends = F == 1
+    # state.decode's invariants: a free count in 0..2, an even slot sum
+    # that puts the level in 0..n-1, endpoints paired with another label
+    # that is an endpoint paired back, and two endpoints on the terminal level.
+    free_sum = F.sum(axis=1, dtype=np.uint16).astype(np.int32)
+    slots = 2 * n - free_sum
+    rec_level = (n - 1) - slots // 2
+    q = np.minimum(P, n - 1)
+    unpaired = (P >= n) | (P == labels)
+    unpaired |= np.take_along_axis(F, q, axis=1) != 1
+    unpaired |= np.take_along_axis(P, q, axis=1) != labels
+    bad = np.zeros((len(keys), len(_RECORD_ERRORS)), dtype=bool)
+    bad[:, 0] = (F > 2).any(axis=1) | (free_sum % 2 == 1) | (rec_level < 0) | (rec_level >= n)
+    bad[:, 0] |= (ends & unpaired).any(axis=1)
+    if n >= 2:
+        bad[:, 0] |= (rec_level == 0) & (np.count_nonzero(ends, axis=1) != 2)
+    bad[:, 1] = (~ends & (P != state.SENTINEL)).any(axis=1)
+    _, reflected, self_comp = search._orient(keys)
+    bad[:, 2] = reflected
+    bad[:, 3] = rec_level != level
+    bad[:, 4] = ~limbs.any(axis=1)
+    bad[:, 5] = self_comp & limbs[:, 2:].any(axis=1)
+    return bad, rec_level
+
+
 def load_checkpoint(
     path: Union[str, Path],
     *,
     expect_n: Optional[int] = None,
     expect_constraint=_UNSET,
 ) -> ClassMap:
-    """Read a class map back, validating structure and every record."""
+    """Read a class map back, validating structure and every record.
+
+    Records are checked as arrays, ``search._BLOCK_ROWS`` at a time; the
+    error names the first failing record and the first check it fails.
+    """
     header = read_checkpoint_header(path)
     if expect_n is not None and header.n != expect_n:
         raise CheckpointError(f"{path}: holds n={header.n}, expected n={expect_n}")
@@ -157,70 +209,78 @@ def load_checkpoint(
         )
     blob = Path(path).read_bytes()
     offset = len(MAGIC) + _HEADER.size
-    record = 2 * header.n + 2 * _MULT_BYTES
-    if len(blob) != offset + header.records * record:
+    n, rows = header.n, header.records
+    width = 2 * n
+    record = width + 2 * _MULT_BYTES
+    size = offset + rows * record
+    if len(blob) < size:
         raise CheckpointError(
-            f"{path}: truncated, {len(blob)} bytes but header promises "
-            f"{offset + header.records * record}"
+            f"{path}: truncated, {len(blob)} bytes but header promises {size}"
         )
-    start = offset
-    pairs = []
-    prev = b""
-    for i in range(header.records):
-        key = blob[offset : offset + 2 * header.n]
-        offset += 2 * header.n
-        d = int.from_bytes(blob[offset : offset + _MULT_BYTES], "little")
-        offset += _MULT_BYTES
-        r = int.from_bytes(blob[offset : offset + _MULT_BYTES], "little")
-        offset += _MULT_BYTES
+    if len(blob) > size:
+        raise CheckpointError(
+            f"{path}: {len(blob) - size} trailing bytes, {len(blob)} bytes "
+            f"but header promises {size}"
+        )
+    records = np.frombuffer(blob, dtype=np.uint8, offset=offset).reshape(rows, record)
+    keys = records[:, :width].copy()
+
+    def fail(i: int, check: int, level: int = 0):
+        detail = ""
+        if check == 0:
+            try:
+                state.decode(keys[i].tobytes())
+            except ValueError as exc:
+                detail = str(exc)
+        message = _RECORD_ERRORS[check].format(
+            i=i, detail=detail, level=level, expected=header.level
+        )
+        return CheckpointError(f"{path}: {message}")
+
+    if rows and not 1 <= n <= state.MAX_LABELS:
+        raise fail(0, 0)
+    mult = np.empty((rows, 2), dtype=object)
+    for start in range(0, rows, search._BLOCK_ROWS):
+        stop = min(start + search._BLOCK_ROWS, rows)
+        limbs = records[start:stop, width:].copy().view("<u8")  # d lo, d hi, r lo, r hi
+        bad, rec_level = _record_checks(keys[start:stop], limbs, header.level)
+        # Each key against the one before it, the first key of a block
+        # against the last of the previous block.
+        after = max(start, 1)
+        less, equal = search._compare_rows(keys[after:stop], keys[after - 1 : stop - 1])
+        bad[after - start :, 6] = equal
+        bad[after - start :, 7] = less
+        failing = bad.any(axis=1)
+        if failing.any():
+            j = int(failing.argmax())
+            raise fail(start + j, int(bad[j].argmax()), int(rec_level[j]))
+        limbs = limbs.astype(object)
+        mult[start:stop] = limbs[:, 0::2] + (limbs[:, 1::2] << 64)
+    return ClassMap(n, header.level, keys, mult, header.constraint)
+
+
+def resume_candidates(
+    directory: Union[str, Path], n: int, constraint: Constraint
+) -> list[Path]:
+    """Checkpoints in a directory whose headers match, deepest (lowest
+    level) first; only the headers are read."""
+    found = []
+    for path in sorted(Path(directory).glob("*.ckpt")):
         try:
-            decoded = state.decode(key)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: record {i} violates state invariants: {exc}") from None
-        if state.encode(decoded) != key:
-            raise CheckpointError(f"{path}: record {i} is not a normalized encoding")
-        if state.complement_key(key) < key:
-            raise CheckpointError(
-                f"{path}: record {i} is not the canonical orientation of its class"
-            )
-        if decoded.next_edge_label != header.level:
-            raise CheckpointError(
-                f"{path}: record {i} is on level {decoded.next_edge_label}, "
-                f"header says {header.level}"
-            )
-        if d + r < 1:
-            raise CheckpointError(f"{path}: record {i} has zero multiplicity")
-        if r and state.complement_key(key) == key:
-            raise CheckpointError(
-                f"{path}: record {i} is self-complementary but has a reflected count"
-            )
-        if key == prev:
-            raise CheckpointError(f"{path}: duplicate key in record {i}")
-        if key < prev:
-            raise CheckpointError(f"{path}: record {i} is out of key order")
-        prev = key
-        pairs.append((d, r))
-    records = np.frombuffer(blob, dtype=np.uint8, count=len(blob) - start, offset=start)
-    keys = records.reshape(header.records, record)[:, : 2 * header.n].copy()
-    mult = np.array(pairs, dtype=object).reshape(-1, 2)
-    return ClassMap(header.n, header.level, keys, mult, header.constraint)
+            header = read_checkpoint_header(path)
+        except CheckpointError:
+            continue
+        if header.n == n and header.constraint == constraint:
+            found.append((header.level, path))
+    return [path for _, path in sorted(found, key=lambda item: item[0])]
 
 
 def find_resume_checkpoint(
     directory: Union[str, Path], n: int, constraint: Constraint
 ) -> Optional[Path]:
     """Deepest matching checkpoint (lowest level) in a directory, if any."""
-    best: Optional[tuple[int, Path]] = None
-    for path in sorted(Path(directory).glob("*.ckpt")):
-        try:
-            header = read_checkpoint_header(path)
-        except CheckpointError:
-            continue
-        if header.n != n or header.constraint != constraint:
-            continue
-        if best is None or header.level < best[0]:
-            best = (header.level, path)
-    return best[1] if best else None
+    found = resume_candidates(directory, n, constraint)
+    return found[0] if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -485,6 +485,27 @@ def _group(parts):
     return keys, np.add.reduceat(mult, starts, axis=0) if len(starts) else mult
 
 
+def _compare_rows(a: np.ndarray, b: np.ndarray):
+    """Rowwise lexicographic comparison of two equal-shape uint8 arrays at
+    their first differing byte: ``(a < b, a == b)`` per row."""
+    neq = a != b
+    first = neq.argmax(axis=1)
+    i = np.arange(len(a))
+    return a[i, first] < b[i, first], ~neq[i, first]
+
+
+def _orient(keys: np.ndarray):
+    """The complemented encoding of every key row (``state.complement_key``
+    on arrays), whether it sorts strictly below the key (the row is
+    reflected) and whether it equals the key (self-complementary)."""
+    n = keys.shape[1] // 2
+    comp = keys[:, np.arange(2 * n).reshape(n, 2)[::-1].ravel()]
+    pc = comp[:, 1::2]
+    comp[:, 1::2] = np.where(pc == SENTINEL, SENTINEL, (n - 1) - pc)
+    reflected, self_comp = _compare_rows(comp, keys)
+    return comp, reflected, self_comp
+
+
 def _expand_block(job):
     """Children of a block of parent rows: placed, canonicalised, pruned
     and grouped, all as array operations."""
@@ -507,15 +528,7 @@ def _expand_block(job):
     child[i, 2 * pv + 1] = pu
     child[i[fu == 1], 2 * u[fu == 1] + 1] = SENTINEL
     child[i[fv == 1], 2 * v[fv == 1] + 1] = SENTINEL
-    # The complemented encoding of every child, then a rowwise
-    # lexicographic comparison at the first differing byte.
-    comp = child[:, np.arange(2 * n).reshape(n, 2)[::-1].ravel()]
-    pc = comp[:, 1::2]
-    comp[:, 1::2] = np.where(pc == SENTINEL, SENTINEL, (n - 1) - pc)
-    neq = child != comp
-    first = neq.argmax(axis=1)
-    self_comp = ~neq[i, first]
-    reflected = comp[i, first] < child[i, first]
+    comp, reflected, self_comp = _orient(child)
     canon = child
     canon[reflected] = comp[reflected]
     d = mult[row, 0]

@@ -83,6 +83,22 @@ def test_count_checkpoint_and_resume(capsys, tmp_path):
     assert "resuming" in err
 
 
+def test_resume_falls_back_past_a_damaged_deepest_checkpoint(capsys, tmp_path):
+    ckdir = tmp_path / "ck"
+    args = ("count", "--n", "20", "--endpoints", "5,15", "--checkpoint-dir", str(ckdir))
+    assert run(capsys, *args)[0] == 0
+    deepest = ckdir / "g20_e5-15_level000.ckpt"
+    blob = bytearray(deepest.read_bytes())
+    blob[25] ^= 0xFF  # the first record's first free count, now above 2
+    deepest.write_bytes(bytes(blob))
+    code, out, err = run(capsys, *args, "--resume")
+    assert code == 0 and out.strip() == "4382"
+    assert f"warning: cannot resume from {deepest}" in err
+    assert "record 0 violates state invariants" in err
+    assert "g20_e5-15_level001.ckpt (level 1)" in err
+    assert "starting fresh" not in err
+
+
 def test_count_resume_requires_dir(capsys):
     code, _, err = run(capsys, "count", "--n", "7", "--resume")
     assert code == 2

@@ -6,8 +6,10 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gracefulperms import report
+from gracefulperms import report, search, state
 from gracefulperms.report import (
     CheckpointError,
     build_ratios,
@@ -260,6 +262,18 @@ def test_checkpoint_rejects_corruption(tmp_path):
         read_checkpoint_header(tmp_path / "missing.ckpt")
 
 
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_level_map(7, 3), path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(
+        CheckpointError,
+        match=f"1 trailing bytes, {size + 1} bytes but header promises {size}$",
+    ):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_denormalized_records(tmp_path):
     path = tmp_path / "d.ckpt"
     # junk partner byte on an interior label decodes fine but is not the
@@ -310,3 +324,177 @@ def test_checkpoint_filenames():
     assert checkpoint_filename(20, TwoEndpoints(5, 15), 7) == "g20_e5-15_level007.ckpt"
     assert checkpoint_filename(9, OneEndpoint(3), 0) == "g9_e3_level000.ckpt"
     assert checkpoint_filename(40, None, 12) == "g40_none_level012.ckpt"
+
+
+# -- array validation against the per-record reference ---------------------------
+
+
+def _reference_load(path):
+    """The per-record validation ``load_checkpoint`` ran before it worked on
+    arrays, kept as the reference: the keys and the (direct, reflected)
+    pairs of a file whose size matches its header, or CheckpointError."""
+    header = read_checkpoint_header(path)
+    blob = path.read_bytes()
+    offset = 25
+    pairs = []
+    keys = []
+    prev = b""
+    for i in range(header.records):
+        key = blob[offset : offset + 2 * header.n]
+        offset += 2 * header.n
+        d = int.from_bytes(blob[offset : offset + 16], "little")
+        r = int.from_bytes(blob[offset + 16 : offset + 32], "little")
+        offset += 32
+        try:
+            decoded = state.decode(key)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: record {i} violates state invariants: {exc}") from None
+        if state.encode(decoded) != key:
+            raise CheckpointError(f"{path}: record {i} is not a normalized encoding")
+        if state.complement_key(key) < key:
+            raise CheckpointError(
+                f"{path}: record {i} is not the canonical orientation of its class"
+            )
+        if decoded.next_edge_label != header.level:
+            raise CheckpointError(
+                f"{path}: record {i} is on level {decoded.next_edge_label}, "
+                f"header says {header.level}"
+            )
+        if d + r < 1:
+            raise CheckpointError(f"{path}: record {i} has zero multiplicity")
+        if r and state.complement_key(key) == key:
+            raise CheckpointError(
+                f"{path}: record {i} is self-complementary but has a reflected count"
+            )
+        if key == prev:
+            raise CheckpointError(f"{path}: duplicate key in record {i}")
+        if key < prev:
+            raise CheckpointError(f"{path}: record {i} is out of key order")
+        prev = key
+        keys.append(key)
+        pairs.append([d, r])
+    return b"".join(keys), pairs
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except CheckpointError as exc:
+        return str(exc)
+
+
+def _array_load(path):
+    m = load_checkpoint(path)
+    pairs = m.mult.tolist()
+    assert all(type(v) is int for pair in pairs for v in pair)
+    return m.keys.tobytes(), pairs
+
+
+@pytest.fixture(scope="module")
+def fuzz_blobs(tmp_path_factory):
+    """Checkpoint bytes of every level of G(9), G(10;2,7) and G(8;3)."""
+    directory = tmp_path_factory.mktemp("levels")
+    blobs = []
+    for n, c in ((9, None), (10, TwoEndpoints(2, 7)), (8, OneEndpoint(3))):
+        m = root_map(n)
+        while True:
+            path = directory / checkpoint_filename(n, c, m.level)
+            save_checkpoint(m, path, c)
+            blobs.append(path.read_bytes())
+            if m.level == 0:
+                break
+            m = expand_level(m, c)
+    return blobs
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_matches_the_per_record_reference(fuzz_blobs, tmp_path_factory, data):
+    """With one or two record bytes changed, after one record may have been
+    copied over another, load_checkpoint and the per-record reference
+    accept the same files with the same records and refuse the others with
+    the same message, so the same record and check.  Blocks of 7 rows put
+    the key-order check across block boundaries."""
+    blob = bytearray(data.draw(st.sampled_from(fuzz_blobs)))
+    width = 2 * struct.unpack_from("<H", blob, 10)[0] + 32
+    rows = (len(blob) - 25) // width
+    if data.draw(st.booleans()):
+        i, j = (25 + width * data.draw(st.integers(0, rows - 1)) for _ in range(2))
+        blob[i : i + width] = blob[j : j + width]
+    for _ in range(data.draw(st.integers(1, 2))):
+        blob[data.draw(st.integers(25, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_ROWS", 7)
+        assert _outcome(_array_load, path) == _outcome(_reference_load, path)
+
+
+def test_load_matches_the_reference_on_reordered_records(fuzz_blobs, tmp_path, monkeypatch):
+    """Each level unchanged, then with one record copied onto the next (a
+    duplicate) and with the two swapped (out of order), at every block
+    boundary of 7-row blocks and one row later."""
+    monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
+    path = tmp_path / "level.ckpt"
+    for blob in fuzz_blobs:
+        path.write_bytes(blob)
+        assert _array_load(path) == _reference_load(path)
+        width = 2 * struct.unpack_from("<H", blob, 10)[0] + 32
+        rows = (len(blob) - 25) // width
+        for row in (r for r in range(rows - 1) if r % 7 in (5, 6)):
+            at = 25 + row * width
+            for pair in ((0, 0), (1, 0)):
+                out = bytearray(blob)
+                out[at : at + 2 * width] = b"".join(
+                    blob[at + k * width : at + (k + 1) * width] for k in pair
+                )
+                path.write_bytes(bytes(out))
+                outcome = _outcome(_array_load, path)
+                assert outcome == _outcome(_reference_load, path)
+                assert f"record {row + 1} is out of key order" in outcome or (
+                    f"duplicate key in record {row + 1}" in outcome
+                )
+
+
+# One record on four labels: key bytes (free count, partner) per label, the
+# header's level, the direct and reflected counts, and the expected outcome.
+_HAND_MADE = [
+    ([2, 0xFF, 0, 0xFF, 0, 0xFF, 0, 0xFF], 0, 1, 0, "violates state invariants"),
+    ([0, 0xFF] * 4, 0, 1, 0, "violates state invariants"),
+    ([1, 0, 2, 0xFF, 2, 0xFF, 1, 3], 2, 1, 0, "violates state invariants"),
+    ([1, 9, 2, 0xFF, 2, 0xFF, 1, 0], 2, 1, 0, "violates state invariants"),
+    ([1, 1, 2, 0xFF, 2, 0xFF, 2, 0xFF], 2, 1, 0, "violates state invariants"),
+    ([1, 1, 1, 2, 1, 3, 1, 0], 1, 1, 0, "violates state invariants"),
+    ([1, 3, 2, 0xFF, 2, 0xFF, 1, 0], 2, 1 << 64, 0, None),
+    ([1, 3, 2, 0xFF, 2, 0xFF, 1, 0], 2, 0, 1 << 64, "self-complementary"),
+    ([1, 3, 2, 0xFF, 2, 0xFF, 1, 0], 1, 1, 0, "is on level 2, header says 1"),
+]
+
+
+@pytest.mark.parametrize("key,level,d,r,expected", _HAND_MADE)
+def test_load_matches_the_reference_on_hand_made_records(tmp_path, key, level, d, r, expected):
+    """Records that single-byte changes to real levels rarely produce: a
+    terminal state without endpoints, no free slot at all, endpoints paired
+    with themselves or with no label, an odd endpoint count, a pairing that
+    is not an involution, and counts held in the high 64 bits only."""
+    path = tmp_path / "one.ckpt"
+    header = struct.pack("<HHBBBHQ", 1, 4, 0, 0, 0, level, 1)
+    path.write_bytes(
+        b"GRACEFL1" + header + bytes(key) + d.to_bytes(16, "little") + r.to_bytes(16, "little")
+    )
+    outcome = _outcome(_array_load, path)
+    assert outcome == _outcome(_reference_load, path)
+    if expected is None:
+        assert outcome == (bytes(key), [[d, r]])
+    else:
+        assert expected in outcome
+
+
+@pytest.mark.parametrize("n", [0, 300])
+def test_checkpoint_refuses_label_counts_out_of_range(tmp_path, n):
+    key = bytes([2, 0xFF]) * n
+    blob = b"GRACEFL1" + struct.pack("<HHBBBHQ", 1, n, 0, 0, 0, max(n - 1, 0), 1)
+    path = tmp_path / "n.ckpt"
+    path.write_bytes(blob + key + (1).to_bytes(16, "little") + bytes(16))
+    with pytest.raises(CheckpointError, match="record 0 violates state invariants"):
+        load_checkpoint(path)

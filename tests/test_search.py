@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gracefulperms import search
 from gracefulperms.search import (
@@ -35,6 +37,8 @@ from gracefulperms.state import (
     candidate_pairs,
     canonicalize,
     complement_key,
+    decode,
+    encode,
     new_root,
 )
 
@@ -186,6 +190,42 @@ def test_expand_paths_agree(monkeypatch):
         assert finalize(by_key[-1], c) == finalize(by_array[-1], c) == expected
         if n == 9:
             assert expected == brute_force_count(n, c)
+
+
+@st.composite
+def _edge_walks(draw):
+    """The states along one random walk down the search tree: a root on
+    n <= 11 labels, then edges placed largest label first, each one drawn
+    from the placeable pairs, until a drawn depth or a dead end."""
+    n = draw(st.integers(1, 11))
+    depth = draw(st.integers(0, n - 1))
+    s = new_root(n)
+    states = [s]
+    while len(states) <= depth:
+        pairs = [(u, v) for u, v in candidate_pairs(n, s.next_edge_label) if can_add_edge(s, u, v)]
+        if not pairs:
+            break
+        s = add_edge(s, *draw(st.sampled_from(pairs)))
+        states.append(s)
+    return states
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_walks())
+def test_orientation_helper_matches_the_state_functions(states):
+    keys = np.array([list(encode(s)) for s in states], dtype=np.uint8)
+    comp, reflected, self_comp = search._orient(keys)
+    assert comp.dtype == np.uint8 and comp.shape == keys.shape
+    for s, key, c, refl, same in zip(states, keys, comp, reflected, self_comp, strict=True):
+        key = key.tobytes()
+        assert decode(key) == s
+        assert c.tobytes() == complement_key(key)
+        assert complement_key(complement_key(key)) == key
+        canon, flag = canonicalize(s)
+        assert bool(refl) == flag
+        assert bool(same) == (canon == key == complement_key(key))
+    back, _, _ = search._orient(comp)
+    assert np.array_equal(back, keys)
 
 
 def test_self_complementary_entries_have_zero_reflected():

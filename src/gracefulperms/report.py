@@ -9,6 +9,7 @@ of the same computation produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,18 +107,18 @@ def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constrai
         raise CheckpointError(
             f"map was built for {cmap.constraint!r}, cannot be saved as {constraint!r}"
         )
-    rows = len(cmap.keys)
-    if rows and (cmap.mult.min() < 0 or cmap.mult.max() >> (8 * _MULT_BYTES)):
-        raise CheckpointError("multiplicity does not fit the 128-bit checkpoint field")
-    # Each multiplicity as two little-endian 64-bit limbs, low limb first.
-    limbs = np.empty((rows, 2, 2), dtype="<u8")
-    limbs[:, :, 0] = cmap.mult & 0xFFFF_FFFF_FFFF_FFFF
-    limbs[:, :, 1] = cmap.mult >> 64
-    records = np.concatenate([cmap.keys, limbs.reshape(rows, 4).view(np.uint8)], axis=1)
+    n, rows = cmap.n, len(cmap.keys)
+    # Each record: the two-byte key, then the limbs as they are held,
+    # d lo, d hi, r lo, r hi, each a little-endian 64-bit word.
+    records = np.empty((rows, 2 * n + 2 * _MULT_BYTES), dtype=np.uint8)
+    records[:, : 2 * n] = search._widen(cmap.keys)
+    records[:, 2 * n :] = cmap.mult.astype("<u8", copy=False).view(np.uint8)
     tag, la, lb = _constraint_tag(constraint)
-    header = MAGIC + _HEADER.pack(VERSION, cmap.n, tag, la, lb, cmap.level, rows)
+    header = MAGIC + _HEADER.pack(VERSION, n, tag, la, lb, cmap.level, rows)
     try:
-        Path(path).write_bytes(header + records.tobytes())
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(records)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -155,13 +156,15 @@ _RECORD_ERRORS = (
 )
 
 
-def _record_checks(keys: np.ndarray, limbs: np.ndarray, level: int):
+def _record_checks(wide: np.ndarray, keys: np.ndarray, limbs: np.ndarray, level: int):
     """One row per record and one column per ``_RECORD_ERRORS`` entry, True
     where the record fails that check; the key-order columns are left False.
-    Also returns each record's level, read from its slot sum."""
-    n = keys.shape[1] // 2
-    F = keys[:, 0::2]
-    P = keys[:, 1::2]
+    ``wide`` holds the records' two-byte keys and ``keys`` their one-byte
+    form, which is exact wherever the first two checks pass.  Also
+    returns each record's level, read from its slot sum."""
+    n = wide.shape[1] // 2
+    F = wide[:, 0::2]
+    P = wide[:, 1::2]
     labels = np.arange(n, dtype=np.uint8)
     ends = F == 1
     # state.decode's invariants: a free count in 0..2, an even slot sum
@@ -174,7 +177,7 @@ def _record_checks(keys: np.ndarray, limbs: np.ndarray, level: int):
     unpaired = (P >= n) | (P == labels)
     unpaired |= np.take_along_axis(F, q, axis=1) != 1
     unpaired |= np.take_along_axis(P, q, axis=1) != labels
-    bad = np.zeros((len(keys), len(_RECORD_ERRORS)), dtype=bool)
+    bad = np.zeros((len(wide), len(_RECORD_ERRORS)), dtype=bool)
     bad[:, 0] = (F > 2).any(axis=1) | (free_sum % 2 == 1) | (rec_level < 0) | (rec_level >= n)
     bad[:, 0] |= (ends & unpaired).any(axis=1)
     if n >= 2:
@@ -196,8 +199,9 @@ def load_checkpoint(
 ) -> ClassMap:
     """Read a class map back, validating structure and every record.
 
-    Records are checked as arrays, ``search._BLOCK_ROWS`` at a time; the
-    error names the first failing record and the first check it fails.
+    Records are read and checked as arrays, ``search._BLOCK_ROWS`` at a
+    time; the error names the first failing record and the first check it
+    fails.
     """
     header = read_checkpoint_header(path)
     if expect_n is not None and header.n != expect_n:
@@ -207,29 +211,38 @@ def load_checkpoint(
             f"{path}: holds constraint {header.constraint!r}, "
             f"expected {expect_constraint!r}"
         )
-    blob = Path(path).read_bytes()
     offset = len(MAGIC) + _HEADER.size
     n, rows = header.n, header.records
     width = 2 * n
     record = width + 2 * _MULT_BYTES
     size = offset + rows * record
-    if len(blob) < size:
-        raise CheckpointError(
-            f"{path}: truncated, {len(blob)} bytes but header promises {size}"
-        )
-    if len(blob) > size:
-        raise CheckpointError(
-            f"{path}: {len(blob) - size} trailing bytes, {len(blob)} bytes "
-            f"but header promises {size}"
-        )
-    records = np.frombuffer(blob, dtype=np.uint8, offset=offset).reshape(rows, record)
-    keys = records[:, :width].copy()
+    try:
+        with open(path, "rb") as fh:
+            actual = os.fstat(fh.fileno()).st_size
+            if actual < size:
+                raise CheckpointError(
+                    f"{path}: truncated, {actual} bytes but header promises {size}"
+                )
+            if actual > size:
+                raise CheckpointError(
+                    f"{path}: {actual - size} trailing bytes, {actual} bytes "
+                    f"but header promises {size}"
+                )
+            fh.seek(offset)
+            return _read_records(fh, path, header, record)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    def fail(i: int, check: int, level: int = 0):
+
+def _read_records(fh, path, header: CheckpointHeader, record: int) -> ClassMap:
+    n, rows = header.n, header.records
+    width = 2 * n
+
+    def fail(i: int, check: int, key: bytes, level: int = 0):
         detail = ""
         if check == 0:
             try:
-                state.decode(keys[i].tobytes())
+                state.decode(key)
             except ValueError as exc:
                 detail = str(exc)
         message = _RECORD_ERRORS[check].format(
@@ -238,12 +251,20 @@ def load_checkpoint(
         return CheckpointError(f"{path}: {message}")
 
     if rows and not 1 <= n <= state.MAX_LABELS:
-        raise fail(0, 0)
-    mult = np.empty((rows, 2), dtype=object)
+        raise fail(0, 0, fh.read(width))
+    keys = np.empty((rows, n), dtype=np.uint8)
+    mult = np.empty((rows, 4), dtype="<u8")
     for start in range(0, rows, search._BLOCK_ROWS):
         stop = min(start + search._BLOCK_ROWS, rows)
-        limbs = records[start:stop, width:].copy().view("<u8")  # d lo, d hi, r lo, r hi
-        bad, rec_level = _record_checks(keys[start:stop], limbs, header.level)
+        chunk = fh.read((stop - start) * record)
+        if len(chunk) != (stop - start) * record:
+            raise CheckpointError(f"{path}: truncated while reading record {start}")
+        block = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, record)
+        wide = block[:, :width]
+        limbs = mult[start:stop]  # d lo, d hi, r lo, r hi
+        limbs.view(np.uint8)[:] = block[:, width:]
+        keys[start:stop] = search._compact(wide)
+        bad, rec_level = _record_checks(wide, keys[start:stop], limbs, header.level)
         # Each key against the one before it, the first key of a block
         # against the last of the previous block.
         after = max(start, 1)
@@ -253,9 +274,7 @@ def load_checkpoint(
         failing = bad.any(axis=1)
         if failing.any():
             j = int(failing.argmax())
-            raise fail(start + j, int(bad[j].argmax()), int(rec_level[j]))
-        limbs = limbs.astype(object)
-        mult[start:stop] = limbs[:, 0::2] + (limbs[:, 1::2] << 64)
+            raise fail(start + j, int(bad[j].argmax()), wide[j].tobytes(), int(rec_level[j]))
     return ClassMap(n, header.level, keys, mult, header.constraint)
 
 
@@ -294,8 +313,8 @@ def estimated_level_bytes(n: int) -> int:
     Peak classes are estimated from measured ones (850 at n=20, 21k at
     n=30, 372k at n=40, growing about 1.33x per extra label).  Bytes per
     peak class and the fixed part come from the peak RSS of ``count(n)``
-    in a fresh process, single worker: 44, 87, 135 and 440 MiB at n = 30,
-    34, 36 and 40, about 730 to 1,110 bytes per peak class above a 29 MiB
+    in a fresh process, single worker: 38, 64, 99 and 263 MiB at n = 30,
+    34, 36 and 40, about 420 to 660 bytes per peak class above a 30 MiB
     start.  Both are rounded up, so the table command refuses before
     memory runs out, never after.
     """
@@ -303,7 +322,7 @@ def estimated_level_bytes(n: int) -> int:
         classes = int(450_000 * 1.35 ** (n - 40)) + 100
     else:
         classes = int(450_000 * 1.45 ** (n - 40))
-    return 32 * 2**20 + classes * (24 * n + 200)
+    return 32 * 2**20 + classes * (16 * n + 24)
 
 
 def build_table(

@@ -16,6 +16,13 @@ final answer is read off the terminal level: an unconstrained graceful
 permutation is a terminal tree node read in either direction, while a
 required start label picks the reading direction, so no doubling applies
 to constrained counts.
+
+The BFS stores a key in one byte per label: 0 for a label with no free
+slot, 1 + p for a path end whose partner is p, n + 1 for an unused label.
+This is the two-byte ``state.encode`` form, (0, FF), (1, p) or (2, FF),
+mapped monotonically, so both sort alike and checkpoints keep the
+two-byte form.  Multiplicities are 128-bit integers held as two
+little-endian uint64 limbs, low first.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .state import SENTINEL, complement_key, encode, new_root
+from .state import SENTINEL
 
 __all__ = [
     "OneEndpoint",
@@ -44,6 +51,7 @@ __all__ = [
     "GracefulPermutation",
     "EnumerationResult",
     "ComputationRefused",
+    "MultiplicityOverflow",
     "is_graceful",
     "brute_force_count",
     "dfs_count",
@@ -71,6 +79,11 @@ _PARALLEL_MIN_ROWS = 4096
 
 class ComputationRefused(Exception):
     """A structurally valid request was declined as too expensive."""
+
+
+class MultiplicityOverflow(ArithmeticError):
+    """A multiplicity reached 2**128, or a level 2**32 rows, which the
+    limb arithmetic cannot hold exactly."""
 
 
 @dataclass(frozen=True)
@@ -102,13 +115,14 @@ class MultiplicityPair(NamedTuple):
 class ClassMap:
     """All equivalence classes on one level.
 
-    ``keys`` is a sorted, duplicate-free ``(rows, 2n)`` uint8 array of
-    canonical keys, in checkpoint byte order; ``mult`` is the matching
-    ``(rows, 2)`` object array of exact Python ints, (direct, reflected),
-    so accumulation can never wrap.  ``level`` is the label of the next
-    edge to place; 0 means terminal.  ``constraint`` is the one the map
-    was built for: its pruning is only sound for that constraint, while a
-    map built for None holds every tree node.
+    ``keys`` is a sorted, duplicate-free ``(rows, n)`` uint8 array of
+    canonical keys in the one-byte-per-label form, whose order is the
+    checkpoint's byte order; ``mult`` is the matching ``(rows, 4)`` uint64
+    array of limbs, (direct low, direct high, reflected low, reflected
+    high).  ``level`` is the label of the next edge to place; 0 means
+    terminal.  ``constraint`` is the one the map was built for: its
+    pruning is only sound for that constraint, while a map built for None
+    holds every tree node.
     """
 
     n: int
@@ -118,30 +132,35 @@ class ClassMap:
     constraint: Constraint = None
 
     def node_sum(self) -> int:
-        return int(self.mult.sum())
+        return _limb_sum(self.mult)
 
     @property
     def entries(self) -> Mapping[bytes, MultiplicityPair]:
-        """Read-only ``{key: MultiplicityPair}`` view of the arrays."""
-        return _Entries(self.keys, self.mult)
+        """Read-only ``{key: MultiplicityPair}`` view with two-byte keys."""
+        return _Entries(self)
 
 
 class _Entries(Mapping):
-    def __init__(self, keys: np.ndarray, mult: np.ndarray) -> None:
-        self._keys = keys
-        self._mult = mult
+    def __init__(self, cmap: ClassMap) -> None:
+        self._map = cmap
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._map.keys)
 
     def __iter__(self):
-        return (row.tobytes() for row in self._keys)
+        return (row.tobytes() for row in _widen(self._map.keys))
 
     def __getitem__(self, key: bytes) -> MultiplicityPair:
-        i = bisect_left(range(len(self)), key, key=lambda j: self._keys[j].tobytes())
-        if i == len(self) or self._keys[i].tobytes() != key:
+        keys = self._map.keys
+        wide = np.frombuffer(key, dtype=np.uint8).reshape(1, -1)
+        if wide.shape[1] != 2 * self._map.n:
             raise KeyError(key)
-        return MultiplicityPair(*self._mult[i])
+        row = _compact(wide)
+        i = bisect_left(range(len(keys)), row.tobytes(), key=lambda j: keys[j].tobytes())
+        if i == len(keys) or not np.array_equal(_widen(keys[i : i + 1]), wide):
+            raise KeyError(key)
+        dlo, dhi, rlo, rhi = self._map.mult[i].tolist()
+        return MultiplicityPair(dlo | dhi << 64, rlo | rhi << 64)
 
 
 @dataclass(frozen=True)
@@ -417,15 +436,105 @@ def enumerate_graceful(
 # ---------------------------------------------------------------------------
 
 
-def _mult_array(pairs) -> np.ndarray:
-    return np.array(pairs, dtype=object).reshape(-1, 2)
+_LOW32 = 0xFFFF_FFFF
+
+#: Maps at most this long are summed through ``tolist``, which beats the
+#: fixed cost of the numpy calls.
+_TOLIST_MAX_ROWS = 64
+
+
+@lru_cache(maxsize=None)
+def _byte_tables(n: int) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """For one-byte keys on ``n`` labels: the complement's byte map
+    (c -> n + 1 - c for path ends, 0 and n + 1 fixed), and the free-count
+    and partner bytes of the two-byte form of every key byte."""
+    comp = bytearray(range(256))
+    free = np.full(256, 2, dtype=np.uint8)
+    part = np.full(256, SENTINEL, dtype=np.uint8)
+    free[0] = 0
+    for c in range(1, n + 1):
+        comp[c] = n + 1 - c
+        free[c] = 1
+        part[c] = c - 1
+    free.flags.writeable = part.flags.writeable = False  # shared by every caller
+    return bytes(comp), free, part
+
+
+def _widen(keys: np.ndarray) -> np.ndarray:
+    """The two-byte ``state.encode`` form of one-byte key rows."""
+    _, free, part = _byte_tables(keys.shape[1])
+    wide = np.empty((len(keys), 2 * keys.shape[1]), dtype=np.uint8)
+    wide[:, 0::2] = free[keys]
+    wide[:, 1::2] = part[keys]
+    return wide
+
+
+def _compact(wide: np.ndarray) -> np.ndarray:
+    """The one-byte form of normalized two-byte key rows."""
+    out = wide[:, 1::2] + np.uint8(1)  # the sentinel wraps to 0
+    out[wide[:, 0::2] == 2] = wide.shape[1] // 2 + 1
+    return out
+
+
+def _limbs(pairs) -> np.ndarray:
+    """``(rows, 4)`` limbs of (direct, reflected) pairs of Python ints."""
+    flat = []
+    for pair in pairs:
+        for x in pair:
+            if x < 0:
+                raise ValueError(f"negative multiplicity {x}")
+            if x >> 128:
+                raise MultiplicityOverflow(f"multiplicity {x} does not fit in 128 bits")
+            flat += (x & 0xFFFF_FFFF_FFFF_FFFF, x >> 64)
+    return np.array(flat, dtype=np.uint64).reshape(-1, 4)
+
+
+def _limb_sum(limbs: np.ndarray) -> int:
+    """Exact sum of every 128-bit value held in ``(rows, 2k)`` limbs."""
+    if len(limbs) <= _TOLIST_MAX_ROWS:
+        return sum(x << (64 * (j % 2)) for row in limbs.tolist() for j, x in enumerate(row))
+    # 32-bit digit columns summed in 64 bits cannot wrap below 2**32 rows.
+    digits = np.ascontiguousarray(limbs).view(np.uint32).sum(axis=0, dtype=np.uint64)
+    return sum(x << (32 * (j % 4)) for j, x in enumerate(digits.tolist()))
+
+
+def _add128(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise sum of two ``(rows, 2)`` arrays of 128-bit limbs."""
+    lo = a[:, 0] + b[:, 0]
+    carry = lo < a[:, 0]
+    hi = a[:, 1] + b[:, 1]
+    over = hi < a[:, 1]
+    hi += carry
+    over |= hi < carry
+    if over.any():
+        raise MultiplicityOverflow("a class multiplicity reached 2**128")
+    return np.stack([lo, hi], axis=1)
+
+
+def _sum_groups(mult: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Exact sums of the ``(rows, 4)`` limb rows in the groups beginning at
+    ``starts``.  Each limb column is split into 32-bit digits and summed
+    one column at a time, then carries are propagated; the digit sums
+    cannot wrap for groups under 2**32 rows."""
+    out = np.empty((len(starts), 4), dtype=np.uint64)
+    for value in (0, 2):
+        carry = 0
+        for c in (value, value + 1):
+            col = mult[:, c]
+            lo = np.add.reduceat(col & _LOW32, starts) + carry
+            hi = np.add.reduceat(col >> 32, starts) + (lo >> 32)
+            out[:, c] = (lo & _LOW32) | (hi << 32)
+            carry = hi >> 32
+        if carry.any():
+            raise MultiplicityOverflow("a class multiplicity reached 2**128")
+    return out
 
 
 def root_map(n: int) -> ClassMap:
     """Level-(n-1) map holding the single empty state; nothing is pruned
     yet, so it is built for None and serves every constraint."""
-    key = np.frombuffer(encode(new_root(n)), dtype=np.uint8).reshape(1, 2 * n)
-    return ClassMap(n, n - 1, key, _mult_array([(1, 0)]))
+    key = np.full((1, n), n + 1, dtype=np.uint8)
+    return ClassMap(n, n - 1, key, np.array([[1, 0, 0, 0]], dtype=np.uint64))
 
 
 def _dead_tests(n: int, level: int, constraint: Constraint):
@@ -435,20 +544,21 @@ def _dead_tests(n: int, level: int, constraint: Constraint):
     required endpoint has no free slot left, both required ends are one
     label, or, before the path is complete, the two required ends end one
     partial path.  Returns None when nothing can die, else the
-    ``(byte position, value)`` tests, any of which kills a slot, for the
-    direct slot and for the reflected slot, both in key coordinates.
+    ``(label, low, high)`` tests, any of which kills a slot when the key
+    byte of that label lies in ``low..high``, for the direct slot and for
+    the reflected slot, both in key coordinates.
     """
     if constraint is None:
         return None
 
     def tests(*ends):
-        out = [(2 * e, 0) for e in ends]
+        out = [(e, 0, 0) for e in ends]
         if len(ends) == 2:
             a, b = ends
             if a == b:  # a path of two or more labels has two distinct ends
-                out += [(2 * a, 1), (2 * a, 2)]
+                out.append((a, 0, 255))
             elif level > 0:
-                out.append((2 * a + 1, b))
+                out.append((a, b + 1, b + 1))
         return out
 
     last = n - 1
@@ -461,8 +571,8 @@ def _dead_tests(n: int, level: int, constraint: Constraint):
 
 def _dead_rows(keys: np.ndarray, tests) -> np.ndarray:
     dead = np.zeros(len(keys), dtype=bool)
-    for pos, value in tests:
-        dead |= keys[:, pos] == value
+    for label, low, high in tests:
+        dead |= keys[:, label] - np.uint8(low) <= high - low
     return dead
 
 
@@ -474,6 +584,8 @@ def _group(parts):
     rows = np.concatenate([p[0] for p in parts]).view(np.dtype((np.void, w))).ravel()
     mult = np.concatenate([p[1] for p in parts])
     parts.clear()
+    if len(rows) >> 32:
+        raise MultiplicityOverflow(f"{len(rows)} rows to group, the limit is 2**32 - 1")
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     mult = mult[order]
@@ -482,7 +594,9 @@ def _group(parts):
     first[1:] = rows[1:] != rows[:-1]
     starts = np.flatnonzero(first)
     keys = rows[starts].view(np.uint8).reshape(-1, w)
-    return keys, np.add.reduceat(mult, starts, axis=0) if len(starts) else mult
+    if len(starts) < len(rows):
+        mult = _sum_groups(mult, starts)
+    return keys, mult
 
 
 def _compare_rows(a: np.ndarray, b: np.ndarray):
@@ -495,13 +609,12 @@ def _compare_rows(a: np.ndarray, b: np.ndarray):
 
 
 def _orient(keys: np.ndarray):
-    """The complemented encoding of every key row (``state.complement_key``
-    on arrays), whether it sorts strictly below the key (the row is
-    reflected) and whether it equals the key (self-complementary)."""
-    n = keys.shape[1] // 2
-    comp = keys[:, np.arange(2 * n).reshape(n, 2)[::-1].ravel()]
-    pc = comp[:, 1::2]
-    comp[:, 1::2] = np.where(pc == SENTINEL, SENTINEL, (n - 1) - pc)
+    """The complement of every one-byte key row (labels reversed, each
+    partner p read as n - 1 - p), whether it sorts strictly below the key
+    (the row is reflected) and whether it equals the key
+    (self-complementary)."""
+    table = np.frombuffer(_byte_tables(keys.shape[1])[0], dtype=np.uint8)
+    comp = table[keys[:, ::-1]]
     reflected, self_comp = _compare_rows(comp, keys)
     return comp, reflected, self_comp
 
@@ -510,71 +623,70 @@ def _expand_block(job):
     """Children of a block of parent rows: placed, canonicalised, pruned
     and grouped, all as array operations."""
     n, k, keys, mult, dead = job
-    F = keys[:, 0::2]
-    P = keys[:, 1::2]
     m = n - k
-    ok = (F[:, :m] != 0) & (F[:, k:] != 0) & (P[:, :m] != np.arange(k, n))
+    ok = (keys[:, :m] != 0) & (keys[:, k:] != 0)
+    ok &= keys[:, :m] != np.arange(k + 1, n + 1, dtype=np.uint8)
     row, u = np.nonzero(ok)
     v = u + k
-    fu = F[row, u]
-    fv = F[row, v]
-    pu = np.where(fu == 1, P[row, u], u)
-    pv = np.where(fv == 1, P[row, v], v)
+    cu = keys[row, u]
+    cv = keys[row, v]
+    # An end u of a path with partner pu, or an unused label (pu = u):
+    # the edge joins pu and pv into one path, and path ends become interior.
+    end_u = cu != n + 1
+    end_v = cv != n + 1
+    pu = np.where(end_u, cu - 1, u)
+    pv = np.where(end_v, cv - 1, v)
     i = np.arange(len(row))
     child = keys[row]
-    child[i, 2 * u] = fu - 1
-    child[i, 2 * v] = fv - 1
-    child[i, 2 * pu + 1] = pv
-    child[i, 2 * pv + 1] = pu
-    child[i[fu == 1], 2 * u[fu == 1] + 1] = SENTINEL
-    child[i[fv == 1], 2 * v[fv == 1] + 1] = SENTINEL
+    child[i, pu] = pv + 1
+    child[i, pv] = pu + 1
+    child[i[end_u], u[end_u]] = 0
+    child[i[end_v], v[end_v]] = 0
     comp, reflected, self_comp = _orient(child)
     canon = child
     canon[reflected] = comp[reflected]
-    d = mult[row, 0]
-    r = mult[row, 1]
-    dd = np.where(reflected, r, d)
-    rr = np.where(reflected, d, r)
-    dd[self_comp] = d[self_comp] + r[self_comp]
-    rr[self_comp] = 0
+    out = mult[row]
+    out[reflected] = out[reflected][:, [2, 3, 0, 1]]
+    if self_comp.any():
+        out[self_comp, :2] = _add128(out[self_comp, :2], out[self_comp, 2:])
+        out[self_comp, 2:] = 0
     if dead is not None:
-        dd[_dead_rows(canon, dead[0])] = 0
-        rr[_dead_rows(canon, dead[1])] = 0
-        live = (dd != 0) | (rr != 0)
-        canon, dd, rr = canon[live], dd[live], rr[live]
-    return _group([(canon, np.stack([dd, rr], axis=1))])
+        out[_dead_rows(canon, dead[0]), :2] = 0
+        out[_dead_rows(canon, dead[1]), 2:] = 0
+        live = out.any(axis=1)
+        canon, out = canon[live], out[live]
+    return _group([(canon, out)])
 
 
 def _expand_keys(n, k, keys, mult, dead):
     """The same step one child at a time, for levels too small to pay
     for the array path's fixed cost."""
-    w = 2 * n
+    table = _byte_tables(n)[0]
+    unused = n + 1
     blob = keys.tobytes()
     acc: dict[bytes, list[int]] = {}
     get = acc.get
-    for j, (d, r) in enumerate(mult.tolist()):
-        key = blob[j * w : (j + 1) * w]
-        frees = key[0::2]
-        parts = key[1::2]
+    for j, (dlo, dhi, rlo, rhi) in enumerate(mult.tolist()):
+        d = dlo | dhi << 64
+        r = rlo | rhi << 64
+        key = blob[j * n : (j + 1) * n]
         for u in range(n - k):
             v = u + k
-            fu = frees[u]
-            fv = frees[v]
-            if fu == 0 or fv == 0 or parts[u] == v:
+            cu = key[u]
+            cv = key[v]
+            if cu == 0 or cv == 0 or cu == v + 1:
                 continue
             ba = bytearray(key)
-            pu = parts[u] if fu == 1 else u
-            pv = parts[v] if fv == 1 else v
-            ba[2 * u] = fu - 1
-            ba[2 * v] = fv - 1
-            ba[2 * pu + 1] = pv
-            ba[2 * pv + 1] = pu
-            if fu == 1:
-                ba[2 * u + 1] = SENTINEL
-            if fv == 1:
-                ba[2 * v + 1] = SENTINEL
+            pu = u if cu == unused else cu - 1
+            pv = v if cv == unused else cv - 1
+            ba[pu] = pv + 1
+            ba[pv] = pu + 1
+            if cu != unused:
+                ba[u] = 0
+            if cv != unused:
+                ba[v] = 0
             kd = bytes(ba)
-            kc = complement_key(kd)
+            kc = kd.translate(table)[::-1]
             if kd < kc:
                 ckey, dd, rr = kd, d, r
             elif kc < kd:
@@ -582,9 +694,9 @@ def _expand_keys(n, k, keys, mult, dead):
             else:
                 ckey, dd, rr = kd, d + r, 0
             if dead is not None:
-                if any(ckey[p] == x for p, x in dead[0]):
+                if any(low <= ckey[e] <= high for e, low, high in dead[0]):
                     dd = 0
-                if any(ckey[p] == x for p, x in dead[1]):
+                if any(low <= ckey[e] <= high for e, low, high in dead[1]):
                     rr = 0
                 if dd == 0 and rr == 0:
                     continue
@@ -595,8 +707,8 @@ def _expand_keys(n, k, keys, mult, dead):
                 cur[0] += dd
                 cur[1] += rr
     order = sorted(acc)
-    out = np.frombuffer(b"".join(order), dtype=np.uint8).reshape(-1, w)
-    return out, _mult_array([acc[key] for key in order])
+    out = np.frombuffer(b"".join(order), dtype=np.uint8).reshape(-1, n)
+    return out, _limbs(acc[key] for key in order)
 
 
 def _check_built_for(cmap: ClassMap, constraint: Constraint) -> None:
@@ -655,7 +767,7 @@ def finalize(cmap: ClassMap, constraint: Constraint = None) -> int:
     if dead is None:
         return 2 * cmap.node_sum()
     return sum(
-        int(cmap.mult[~_dead_rows(cmap.keys, tests), slot].sum())
+        _limb_sum(cmap.mult[~_dead_rows(cmap.keys, tests), 2 * slot : 2 * slot + 2])
         for slot, tests in enumerate(dead)
     )
 

@@ -38,14 +38,41 @@ from gracefulperms.search import (
 )
 
 
+def _one_byte_key(key):
+    """The engine's one-byte form of a normalized two-byte key: 0 for no
+    free slot, 1 + p for an end whose partner is p, n + 1 for unused."""
+    n = len(key) // 2
+    out = []
+    for u in range(n):
+        f, p = key[2 * u], key[2 * u + 1]
+        assert f in (0, 1, 2) and (p == 0xFF) == (f != 1), "not a normalized key"
+        out.append((0, 1 + p, n + 1)[f])
+    return bytes(out)
+
+
 def _class_map(n, level, entries):
-    """A ClassMap holding exactly these {key: (direct, reflected)} records."""
+    """A ClassMap holding exactly these {key: (direct, reflected)} records,
+    with two-byte keys and multiplicities as Python ints; the limb helper
+    refuses values below 0 or of 2**128 and more."""
     keys = sorted(entries)
     return ClassMap(
         n,
         level,
-        np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, 2 * n),
-        np.array([entries[key] for key in keys], dtype=object).reshape(-1, 2),
+        np.frombuffer(b"".join(map(_one_byte_key, keys)), dtype=np.uint8).reshape(-1, n),
+        search._limbs(entries[key] for key in keys),
+    )
+
+
+def _write_records(path, n, level, records):
+    """A checkpoint file of raw (two-byte key, direct, reflected) records."""
+    header = struct.pack("<HHBBBHQ", 1, n, 0, 0, 0, level, len(records))
+    path.write_bytes(
+        b"GRACEFL1"
+        + header
+        + b"".join(
+            bytes(key) + d.to_bytes(16, "little") + r.to_bytes(16, "little")
+            for key, d, r in records
+        )
     )
 
 
@@ -279,7 +306,7 @@ def test_checkpoint_rejects_denormalized_records(tmp_path):
     # junk partner byte on an interior label decodes fine but is not the
     # normalized encoding
     bad_key = bytes([2, 5, 2, 0xFF, 2, 0xFF])
-    save_checkpoint(_class_map(3, 2, {bad_key: MultiplicityPair(1, 0)}), path)
+    _write_records(path, 3, 2, [(bad_key, 1, 0)])
     with pytest.raises(CheckpointError, match="not a normalized encoding"):
         load_checkpoint(path)
     # a valid state stored under the larger of its two orientations: the
@@ -313,11 +340,21 @@ def test_checkpoint_rejects_invalid_records(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_multiplicity_field_overflow(tmp_path):
+def test_class_maps_refuse_multiplicities_outside_128_bits(tmp_path):
+    """Limbs hold 0..2**128 - 1 exactly; the largest value round-trips
+    through a checkpoint, and anything outside the range is refused."""
     key = bytes([1, 1, 1, 0])
-    m = _class_map(2, 0, {key: MultiplicityPair(1 << 128, 0)})
-    with pytest.raises(CheckpointError, match="128-bit"):
-        save_checkpoint(m, tmp_path / "o.ckpt")
+    top = (1 << 128) - 1
+    m = _class_map(2, 0, {key: MultiplicityPair(top, 0)})
+    assert m.mult.dtype == np.uint64 and m.mult.tolist() == [[2**64 - 1] * 2 + [0, 0]]
+    save_checkpoint(m, tmp_path / "o.ckpt")
+    assert load_checkpoint(tmp_path / "o.ckpt").entries == {key: (top, 0)}
+    with pytest.raises(search.MultiplicityOverflow, match="128 bits"):
+        _class_map(2, 0, {key: MultiplicityPair(1 << 128, 0)})
+    with pytest.raises(search.MultiplicityOverflow, match="128 bits"):
+        _class_map(2, 0, {key: MultiplicityPair(1, top + 1)})
+    with pytest.raises(ValueError, match="negative"):
+        _class_map(2, 0, {key: MultiplicityPair(-1, 0)})
 
 
 def test_checkpoint_filenames():
@@ -383,11 +420,23 @@ def _outcome(load, path):
         return str(exc)
 
 
+def _two_byte_key(key):
+    """The inverse of ``_one_byte_key``."""
+    n = len(key)
+    return bytes(
+        b for c in key for b in ((0, 0xFF) if c == 0 else (2, 0xFF) if c == n + 1 else (1, c - 1))
+    )
+
+
 def _array_load(path):
+    """The keys, widened here one key at a time, and (direct, reflected)
+    pairs of the map ``load_checkpoint`` returns."""
     m = load_checkpoint(path)
-    pairs = m.mult.tolist()
-    assert all(type(v) is int for pair in pairs for v in pair)
-    return m.keys.tobytes(), pairs
+    assert m.keys.dtype == np.uint8 and m.keys.shape == (len(m.keys), m.n)
+    assert m.mult.dtype == np.uint64 and m.mult.shape == (len(m.keys), 4)
+    keys = b"".join(_two_byte_key(row.tobytes()) for row in m.keys)
+    pairs = [[dlo | dhi << 64, rlo | rhi << 64] for dlo, dhi, rlo, rhi in m.mult.tolist()]
+    return keys, pairs
 
 
 @pytest.fixture(scope="module")
@@ -478,10 +527,7 @@ def test_load_matches_the_reference_on_hand_made_records(tmp_path, key, level, d
     with themselves or with no label, an odd endpoint count, a pairing that
     is not an involution, and counts held in the high 64 bits only."""
     path = tmp_path / "one.ckpt"
-    header = struct.pack("<HHBBBHQ", 1, 4, 0, 0, 0, level, 1)
-    path.write_bytes(
-        b"GRACEFL1" + header + bytes(key) + d.to_bytes(16, "little") + r.to_bytes(16, "little")
-    )
+    _write_records(path, 4, level, [(key, d, r)])
     outcome = _outcome(_array_load, path)
     assert outcome == _outcome(_reference_load, path)
     if expected is None:
@@ -498,3 +544,23 @@ def test_checkpoint_refuses_label_counts_out_of_range(tmp_path, n):
     path.write_bytes(blob + key + (1).to_bytes(16, "little") + bytes(16))
     with pytest.raises(CheckpointError, match="record 0 violates state invariants"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "n,c", [(12, TwoEndpoints(0, 1)), (10, TwoEndpoints(2, 7)), (11, None)], ids=str
+)
+def test_engine_levels_load_through_the_reference(tmp_path, n, c):
+    """Every level the engine saves reads back through the per-record
+    reference, which checks the two-byte keys' order and canonical
+    orientation itself, with the keys and counts the engine holds."""
+    levels = []
+    result = count(n, c, on_level=levels.append)
+    assert len(levels) == n - 1
+    for m in levels:
+        path = tmp_path / checkpoint_filename(n, c, m.level)
+        save_checkpoint(m, path, c)
+        keys, pairs = _reference_load(path)
+        assert keys == b"".join(m.entries) == b"".join(_two_byte_key(r.tobytes()) for r in m.keys)
+        assert pairs == [list(p) for p in m.entries.values()]
+        assert _array_load(path) == (keys, pairs)
+    assert result.count == search.dfs_count(n, c)

@@ -210,22 +210,115 @@ def _edge_walks(draw):
     return states
 
 
+def _one_byte_key(s):
+    """The engine's key bytes of a state: 0 for a label with no free slot,
+    1 + partner for a path end, n + 1 for an unused label."""
+    return [0 if f == 0 else 1 + p if f == 1 else s.n + 1 for f, p in zip(s.free, s.forb)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_edge_walks())
 def test_orientation_helper_matches_the_state_functions(states):
-    keys = np.array([list(encode(s)) for s in states], dtype=np.uint8)
+    keys = np.array([_one_byte_key(s) for s in states], dtype=np.uint8)
     comp, reflected, self_comp = search._orient(keys)
     assert comp.dtype == np.uint8 and comp.shape == keys.shape
-    for s, key, c, refl, same in zip(states, keys, comp, reflected, self_comp, strict=True):
+    wide = search._widen(keys)
+    assert np.array_equal(search._compact(wide), keys)
+    for s, row, key, c, refl, same in zip(
+        states, keys, wide, search._widen(comp), reflected, self_comp, strict=True
+    ):
         key = key.tobytes()
+        assert key == encode(s)
         assert decode(key) == s
         assert c.tobytes() == complement_key(key)
         assert complement_key(complement_key(key)) == key
+        assert row.tobytes().translate(search._byte_tables(s.n)[0])[::-1] == bytes(
+            _one_byte_key(decode(complement_key(key)))
+        )
         canon, flag = canonicalize(s)
         assert bool(refl) == flag
         assert bool(same) == (canon == key == complement_key(key))
     back, _, _ = search._orient(comp)
     assert np.array_equal(back, keys)
+
+
+def _limb_rows(values):
+    return np.array(
+        [[x & (2**64 - 1), x >> 64] for x in values], dtype=np.uint64
+    ).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**128 - 1) | st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**128 - 1]),
+            st.integers(0, 2**128 - 1) | st.sampled_from([0, 1, 2**128 - 1]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.data(),
+)
+def test_group_sums_match_python_ints(pairs, data):
+    """The 32-bit digit sums with carries give every group's exact 128-bit
+    sum, and raise the named error instead of wrapping at 2**128; the
+    whole-map sum is exact through ``tolist`` and through digit sums."""
+    rows = len(pairs)
+    cuts = data.draw(st.sets(st.integers(1, rows - 1)) if rows > 1 else st.just(set()))
+    starts = np.array([0] + sorted(cuts), dtype=np.intp)
+    mult = np.concatenate(
+        [_limb_rows(d for d, _ in pairs), _limb_rows(r for _, r in pairs)], axis=1
+    )
+    for tolist_max_rows in (0, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_TOLIST_MAX_ROWS", tolist_max_rows)
+            assert search._limb_sum(mult) == sum(d + r for d, r in pairs)
+            assert search._limb_sum(mult[:, 2:]) == sum(r for _, r in pairs)
+    bounds = list(starts) + [rows]
+    sums = [
+        [sum(p[slot] for p in pairs[a:b]) for slot in (0, 1)]
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    if any(x >> 128 for pair in sums for x in pair):
+        with pytest.raises(search.MultiplicityOverflow):
+            search._sum_groups(mult, starts)
+        return
+    out = search._sum_groups(mult, starts)
+    assert out.dtype == np.uint64
+    assert [[dl | dh << 64, rl | rh << 64] for dl, dh, rl, rh in out.tolist()] == sums
+
+
+def test_group_sum_raises_once_a_group_reaches_2_128():
+    top = 2**128 - 1
+    keys = np.zeros((3, 2), dtype=np.uint8)
+    mult = search._limbs([(top - 1, 0), (1, top), (0, 0)])
+    out_keys, out = search._group([(keys, mult.copy())])
+    assert len(out_keys) == 1 and out.tolist() == [[2**64 - 1] * 4]
+    for pair in ((1, 0), (0, 1)):
+        with pytest.raises(search.MultiplicityOverflow, match="2\\*\\*128"):
+            search._group([(keys, search._limbs([(top - 1, 0), (1, top), pair]))])
+
+
+@pytest.mark.parametrize("array_min_rows", [0, 10**9])
+def test_self_complementary_add_raises_at_2_128(monkeypatch, array_min_rows):
+    """The single edge joining 0 and n-1 is self-complementary, so both
+    counts of its parent flow into the direct slot: exact up to
+    2**128 - 1, refused at 2**128 on either expansion path."""
+    monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", array_min_rows)
+    root = root_map(6)
+    for d, r, fits in ((2**127, 2**127 - 1, True), (2**127, 2**127, False)):
+        m = ClassMap(6, 5, root.keys, search._limbs([(d, r)]))
+        if fits:
+            assert list(expand_level(m).entries.values()) == [(d + r, 0)]
+        else:
+            with pytest.raises(search.MultiplicityOverflow, match="128"):
+                expand_level(m)
+    a = _limb_rows([2**128 - 1, 2**64 - 1])
+    b = _limb_rows([0, 1])
+    assert search._add128(a, b).tolist() == [[2**64 - 1] * 2, [0, 1]]
+    with pytest.raises(search.MultiplicityOverflow):
+        search._add128(a, _limb_rows([1, 0]))
 
 
 def test_self_complementary_entries_have_zero_reflected():
@@ -346,6 +439,30 @@ def test_count_resume_from_initial_map():
     assert resumed.levels[0].level == mid.level
     with pytest.raises(ValueError):
         count(19, c, initial=mid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 11).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.none()
+            | st.builds(OneEndpoint, st.integers(0, n - 1))
+            | st.builds(TwoEndpoints, st.integers(0, n - 1), st.integers(0, n - 1)),
+        )
+    ),
+    st.booleans(),
+    st.integers(1, 9),
+    st.integers(0, 40),
+)
+def test_engine_matches_dfs_with_small_blocks(case, prune, block_rows, array_min_rows):
+    """With tiny blocks and a random switch-over between the per-key loop
+    and the array path, ``count`` still equals the unfolded walk."""
+    n, c = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_ROWS", block_rows)
+        mp.setattr(search, "_ARRAY_MIN_ROWS", array_min_rows)
+        assert count(n, c, prune=prune).count == dfs_count(n, c, prune=not prune)
 
 
 def test_worker_pool_gives_the_single_worker_levels(monkeypatch):

@@ -111,7 +111,7 @@ def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constrai
     # Each record: the two-byte key, then the limbs as they are held,
     # d lo, d hi, r lo, r hi, each a little-endian 64-bit word.
     records = np.empty((rows, 2 * n + 2 * _MULT_BYTES), dtype=np.uint8)
-    records[:, : 2 * n] = search._widen(cmap.keys)
+    search._widen(cmap.keys, out=records[:, : 2 * n])
     records[:, 2 * n :] = cmap.mult.astype("<u8", copy=False).view(np.uint8)
     tag, la, lb = _constraint_tag(constraint)
     header = MAGIC + _HEADER.pack(VERSION, n, tag, la, lb, cmap.level, rows)

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .state import SENTINEL
+from .state import MAX_LABELS, SENTINEL
 
 __all__ = [
     "OneEndpoint",
@@ -130,6 +130,13 @@ class ClassMap:
     keys: np.ndarray
     mult: np.ndarray
     constraint: Constraint = None
+
+    def __post_init__(self) -> None:
+        rows = len(self.keys)
+        if self.keys.dtype != np.uint8 or self.keys.shape != (rows, self.n):
+            raise ValueError(f"keys must be a (rows, {self.n}) uint8 array")
+        if self.mult.dtype != np.uint64 or self.mult.shape != (rows, 4):
+            raise ValueError(f"mult must be a ({rows}, 4) uint64 array of limbs")
 
     def node_sum(self) -> int:
         return _limb_sum(self.mult)
@@ -460,13 +467,15 @@ def _byte_tables(n: int) -> tuple[bytes, np.ndarray, np.ndarray]:
     return bytes(comp), free, part
 
 
-def _widen(keys: np.ndarray) -> np.ndarray:
-    """The two-byte ``state.encode`` form of one-byte key rows."""
+def _widen(keys: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The two-byte ``state.encode`` form of one-byte key rows, written
+    into ``out`` when it is given."""
     _, free, part = _byte_tables(keys.shape[1])
-    wide = np.empty((len(keys), 2 * keys.shape[1]), dtype=np.uint8)
-    wide[:, 0::2] = free[keys]
-    wide[:, 1::2] = part[keys]
-    return wide
+    if out is None:
+        out = np.empty((len(keys), 2 * keys.shape[1]), dtype=np.uint8)
+    out[:, 0::2] = free[keys]
+    out[:, 1::2] = part[keys]
+    return out
 
 
 def _compact(wide: np.ndarray) -> np.ndarray:
@@ -533,6 +542,8 @@ def _sum_groups(mult: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def root_map(n: int) -> ClassMap:
     """Level-(n-1) map holding the single empty state; nothing is pruned
     yet, so it is built for None and serves every constraint."""
+    if n > MAX_LABELS:
+        raise ValueError(f"label count must be <= {MAX_LABELS}, got {n}")
     key = np.full((1, n), n + 1, dtype=np.uint8)
     return ClassMap(n, n - 1, key, np.array([[1, 0, 0, 0]], dtype=np.uint64))
 

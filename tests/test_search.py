@@ -125,6 +125,26 @@ def test_root_map_shape():
     assert list(m.entries.values()) == [MultiplicityPair(1, 0)]
 
 
+def test_label_counts_past_the_key_byte_are_refused():
+    """One-byte keys hold n + 1 for an unused label, so n stops at 254."""
+    assert root_map(254).keys.max() == 255
+    with pytest.raises(ValueError, match="<= 254"):
+        count(255)
+
+
+def test_maps_refuse_arrays_of_another_layout():
+    """Two-byte keys or Python-int multiplicities are refused, not read
+    as one-byte keys and limbs."""
+    m = root_map(5)
+    wide = np.array([[2, 0xFF] * 5], dtype=np.uint8)
+    with pytest.raises(ValueError, match="keys must be"):
+        ClassMap(5, 4, wide, m.mult)
+    with pytest.raises(ValueError, match="mult must be"):
+        ClassMap(5, 4, m.keys, np.array([[1, 0]], dtype=object))
+    with pytest.raises(ValueError, match="mult must be"):
+        ClassMap(5, 4, m.keys, m.mult.astype(np.int64))
+
+
 def test_expand_after_first_edge_folds_complement_children():
     """The state with the single maximal edge placed expands to two
     children that are complements of each other, so they fold into one

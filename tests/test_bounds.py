@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +178,26 @@ def test_gamma_zero_count_flag(monkeypatch):
 
 def test_certify_published_count_exceeds_2_37():
     assert certify_bound(COUNT_64, 64, "2.37") is True
+
+
+def test_recorded_bounds_recertify():
+    """Every count in ``bound_records.json`` certifies its recorded base in
+    exact integers, and not one unit in the last digit more; its mirror
+    start label and its resumed run gave the same integer.  m = 34 is
+    where the certified base passes the paper's 2.37."""
+    records = json.loads(Path(__file__).with_name("bound_records.json").read_text())
+    for r in records:
+        cnt, two_m = int(r["count"]), 2 * r["m"]
+        assert [r["j"], r["j"] + r["m"]] == r["endpoints"]
+        assert r["mirror"]["endpoints"] == [r["m"] - 1 - r["j"], two_m - 1 - r["j"]]
+        assert int(r["mirror"]["count"]) == int(r["resumed"]["count"]) == cnt
+        assert gamma_value(cnt, two_m) == float(r["gamma"])
+        assert certify_bound(cnt, two_m, r["gamma"]) is True
+        assert certify_bound(cnt, two_m, Decimal(r["gamma"]) + Decimal("0.0001")) is False
+    by_m = {r["m"]: int(r["count"]) for r in records}
+    assert by_m[34] == 204660893856042387758775606
+    assert certify_bound(by_m[34], 68, "2.37") is True
+    assert gamma_value(by_m[34], 68) == 2.4374
 
 
 def test_certify_is_exact_about_the_last_digit():

@@ -70,8 +70,18 @@ BRUTE_FORCE_LIMIT = 11
 _ARRAY_MIN_ROWS = 16
 
 #: Parent rows the array path expands and groups at a time; bounds the
-#: memory that the children of one level take before they are merged.
+#: expansion's working arrays.  The grouped children of every block are
+#: held until the level is merged.
 _BLOCK_ROWS = 4096
+
+#: Grouped block rows that the level merge sorts at a time: the blocks'
+#: output is cut into key ranges of about this many rows, which bounds the
+#: merge's sort and sum transient.
+_MERGE_ROWS = 2**15
+
+#: Most rows a level may have before its merge; the 32-bit digit sums of
+#: a group of more rows could wrap.
+_MAX_MERGE_ROWS = 2**32 - 1
 
 #: Levels smaller than this are never worth farming out to worker processes.
 _PARALLEL_MIN_ROWS = 4096
@@ -587,16 +597,21 @@ def _dead_rows(keys: np.ndarray, tests) -> np.ndarray:
     return dead
 
 
+def _rows(keys: np.ndarray) -> np.ndarray:
+    """The key rows as one void scalar each, which compare as byte strings."""
+    return keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+
+
 def _group(parts):
     """Sort the rows of a list of (keys, mult) pairs by key bytes and add
     up the multiplicities of equal keys.  The list is emptied, so each
-    input array can be freed as soon as it is copied."""
+    input array can be freed as soon as it is copied.  The stable sort
+    (a timsort) merges the presorted runs of grouped blocks instead of
+    sorting from scratch."""
     w = parts[0][0].shape[1]
-    rows = np.concatenate([p[0] for p in parts]).view(np.dtype((np.void, w))).ravel()
+    rows = _rows(np.concatenate([p[0] for p in parts]))
     mult = np.concatenate([p[1] for p in parts])
     parts.clear()
-    if len(rows) >> 32:
-        raise MultiplicityOverflow(f"{len(rows)} rows to group, the limit is 2**32 - 1")
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     mult = mult[order]
@@ -608,6 +623,40 @@ def _group(parts):
     if len(starts) < len(rows):
         mult = _sum_groups(mult, starts)
     return keys, mult
+
+
+def _merge(parts):
+    """One level from the grouped outputs of its blocks, a list of sorted,
+    duplicate-free (keys, mult) pairs, which is emptied.
+
+    Splitters sampled from every block at even strides cut each block
+    into key ranges of about ``_MERGE_ROWS`` rows in all.  A cut takes the
+    first row not below its splitter, so equal keys from every block land
+    in one range.  Each block's slices are copied out before the next
+    block is cut, so the blocks are freed as they are redistributed; then
+    every range is grouped on its own and the ranges are joined in key
+    order.
+    """
+    total = sum(len(keys) for keys, _ in parts)
+    if total > _MAX_MERGE_ROWS:
+        raise MultiplicityOverflow(f"{total} rows to merge, the limit is {_MAX_MERGE_ROWS}")
+    if len(parts) == 1:  # a single block is grouped already
+        return parts.pop()
+    if total <= _MERGE_ROWS:
+        return _group(parts)
+    ranges = -(-total // _MERGE_ROWS)
+    step = max(1, _MERGE_ROWS // 16)
+    samples = np.sort(np.concatenate([_rows(keys)[::step] for keys, _ in parts]))
+    splitters = samples[np.arange(1, ranges) * len(samples) // ranges]
+    pieces = [[] for _ in range(ranges)]
+    while parts:
+        keys, mult = parts.pop()
+        cuts = [0, *np.searchsorted(_rows(keys), splitters, side="left").tolist(), len(keys)]
+        for piece, a, b in zip(pieces, cuts, cuts[1:]):
+            piece.append((keys[a:b].copy(), mult[a:b].copy()))
+    del keys, mult
+    out = [_group(piece) for piece in pieces]
+    return np.concatenate([keys for keys, _ in out]), np.concatenate([mult for _, mult in out])
 
 
 def _compare_rows(a: np.ndarray, b: np.ndarray):
@@ -760,7 +809,7 @@ def _expand(cmap: ClassMap, constraint: Constraint, prune: bool, mapper) -> Clas
             (n, k, cmap.keys[i : i + _BLOCK_ROWS], cmap.mult[i : i + _BLOCK_ROWS], dead)
             for i in range(0, rows, _BLOCK_ROWS)
         ]
-        keys, mult = _group(list(mapper(_expand_block, jobs)))
+        keys, mult = _merge(list(mapper(_expand_block, jobs)))
     return ClassMap(n, k - 1, keys, mult, constraint)
 
 

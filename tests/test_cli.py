@@ -145,9 +145,9 @@ def test_table_budget_refusal(capsys):
     assert "refused" in err
 
 
-def test_table_budget_refuses_forty_labels_in_256_mib(capsys):
-    # count(40) peaks at about 263 MiB, so this must refuse before starting.
-    code, out, err = run(capsys, "table", "--from", "40", "--to", "40", "--budget-mb", "256")
+def test_table_budget_refuses_forty_labels_in_160_mib(capsys):
+    # count(40) peaks at about 165 MiB, so this must refuse before starting.
+    code, out, err = run(capsys, "table", "--from", "40", "--to", "40", "--budget-mb", "160")
     assert code == 1
     assert out == ""
     assert err.startswith("refused:")

@@ -189,27 +189,124 @@ def _all_levels(n, c, prune):
     return levels
 
 
+def _assert_same_levels(got, expected):
+    """Two runs' level maps agree bit for bit."""
+    for a, b in zip(got, expected, strict=True):
+        assert (a.level, a.constraint) == (b.level, b.constraint)
+        assert a.keys.dtype == b.keys.dtype and a.mult.dtype == b.mult.dtype
+        assert np.array_equal(a.keys, b.keys)
+        assert np.array_equal(a.mult, b.mult)
+
+
+#: Merge sizes the tests force: the default, and ranges so small that
+#: nearly every row is a splitter and repeated splitters leave ranges empty.
+MERGE_ROWS = (search._MERGE_ROWS, 1, 2, 5)
+
+
 def test_expand_paths_agree(monkeypatch):
     """The per-key loop and the array path, each forced to run alone,
     build identical levels.  Blocks of 7 parent rows make the array path
-    merge children across blocks on every level it handles."""
+    merge children across blocks on every level it handles, at every
+    forced merge size."""
     monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
     grid = [(n, c) for n in (9, 12) for c in (None, OneEndpoint(1), TwoEndpoints(0, n - 1))]
     for (n, c), prune in itertools.product(grid, (True, False)):
         monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", 10**9)
         by_key = _all_levels(n, c, prune)
-        monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", 0)
-        by_array = _all_levels(n, c, prune)
-        for a, b in zip(by_key, by_array, strict=True):
-            assert (a.level, a.constraint) == (b.level, b.constraint)
+        for a in by_key:
             rows = [bytes(row) for row in a.keys]
             assert rows == sorted(set(rows))
-            assert np.array_equal(a.keys, b.keys)
-            assert a.mult.tolist() == b.mult.tolist()
+        monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", 0)
+        for merge_rows in MERGE_ROWS:
+            monkeypatch.setattr(search, "_MERGE_ROWS", merge_rows)
+            by_array = _all_levels(n, c, prune)
+            _assert_same_levels(by_array, by_key)
         expected = dfs_count(n, c)
         assert finalize(by_key[-1], c) == finalize(by_array[-1], c) == expected
         if n == 9:
             assert expected == brute_force_count(n, c)
+
+
+def _grouped_blocks(draw_keys, n):
+    """Sorted, duplicate-free (keys, mult) blocks, as ``_expand_block`` returns."""
+    blocks = []
+    for keys in draw_keys:
+        keys = np.array(keys, dtype=np.uint8).reshape(-1, n)
+        mult = np.repeat(np.arange(len(keys), dtype=np.uint64)[:, None], 4, axis=1)
+        mult[:, 0::2] += np.uint64(2**63)  # low limbs that carry when summed
+        blocks.append(search._group([(keys, mult)]))
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), max_size=12),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from(MERGE_ROWS) | st.integers(1, 40),
+)
+def test_merge_matches_one_global_group(draw_keys, merge_rows):
+    """Merging grouped blocks range by range gives what one global sort
+    and sum of all their rows gives, bit for bit, carries included."""
+    expected = search._group(_grouped_blocks(draw_keys, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_MERGE_ROWS", merge_rows)
+        keys, mult = search._merge(_grouped_blocks(draw_keys, 3))
+    assert np.array_equal(keys, expected[0]) and np.array_equal(mult, expected[1])
+
+
+def test_merge_ranges_split_at_repeated_splitters(monkeypatch):
+    """Blocks that share keys give repeated splitters: the ranges between
+    equal splitters come out empty, and every key is summed in one range."""
+    keys = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [2, 2, 2]]
+    blocks = [keys, keys[1:], keys[:2] + keys[3:]]
+    expected = search._group(_grouped_blocks(blocks, 3))
+    parts = _grouped_blocks(blocks, 3)
+    sizes = []
+    real_group = search._group
+
+    def spy(parts):
+        sizes.append(sum(len(k) for k, _ in parts))
+        return real_group(parts)
+
+    monkeypatch.setattr(search, "_MERGE_ROWS", 1)
+    monkeypatch.setattr(search, "_group", spy)
+    merged_keys, mult = search._merge(parts)
+    assert parts == []
+    assert sizes == [0, 2, 0, 0, 3, 0, 2, 0, 0, 3]
+    assert merged_keys.tolist() == keys
+    assert np.array_equal(merged_keys, expected[0]) and np.array_equal(mult, expected[1])
+
+
+def test_merge_refuses_a_level_past_the_row_limit(monkeypatch):
+    """The merge checks the level's rows before any range is grouped: at
+    the limit the level is built, one row past it the named error is raised."""
+    monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(search, "_MERGE_ROWS", 5)
+    m = root_map(16)
+    while len(m.keys) < 50:
+        m = expand_level(m)
+    totals = []
+    real_merge = search._merge
+
+    def spy(parts):
+        totals.append(sum(len(k) for k, _ in parts))
+        return real_merge(parts)
+
+    monkeypatch.setattr(search, "_merge", spy)
+    child = expand_level(m)
+    monkeypatch.setattr(search, "_merge", real_merge)
+    (total,) = totals
+    assert total > max(len(child.keys), search._MERGE_ROWS)
+    monkeypatch.setattr(search, "_MAX_MERGE_ROWS", total)
+    at_limit = expand_level(m)
+    assert np.array_equal(at_limit.keys, child.keys)
+    assert np.array_equal(at_limit.mult, child.mult)
+    monkeypatch.setattr(search, "_MAX_MERGE_ROWS", total - 1)
+    with pytest.raises(search.MultiplicityOverflow, match=f"{total} rows to merge"):
+        expand_level(m)
 
 
 @st.composite
@@ -474,20 +571,29 @@ def test_count_resume_from_initial_map():
     st.booleans(),
     st.integers(1, 9),
     st.integers(0, 40),
+    st.integers(1, 9),
 )
-def test_engine_matches_dfs_with_small_blocks(case, prune, block_rows, array_min_rows):
-    """With tiny blocks and a random switch-over between the per-key loop
-    and the array path, ``count`` still equals the unfolded walk."""
+def test_engine_matches_dfs_with_small_blocks(case, prune, block_rows, array_min_rows, merge_rows):
+    """With tiny blocks, tiny merge ranges and a random switch-over between
+    the per-key loop and the array path, ``count`` still equals the
+    unfolded walk, and every level equals the default run's bit for bit."""
     n, c = case
+    expected = []
+    base = count(n, c, prune=prune, on_level=expected.append)
+    levels = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_BLOCK_ROWS", block_rows)
         mp.setattr(search, "_ARRAY_MIN_ROWS", array_min_rows)
-        assert count(n, c, prune=prune).count == dfs_count(n, c, prune=not prune)
+        mp.setattr(search, "_MERGE_ROWS", merge_rows)
+        got = count(n, c, prune=prune, on_level=levels.append)
+    assert got.count == base.count == dfs_count(n, c, prune=not prune)
+    _assert_same_levels(levels, expected)
 
 
 def test_worker_pool_gives_the_single_worker_levels(monkeypatch):
     """With the pool threshold and block size lowered, the pool expands
-    every level the array path handles, and changes nothing."""
+    every level the array path handles, and changes nothing, at every
+    forced merge size."""
     monkeypatch.setattr(search, "_PARALLEL_MIN_ROWS", 1)
     monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
     pooled = []
@@ -499,15 +605,20 @@ def test_worker_pool_gives_the_single_worker_levels(monkeypatch):
 
     monkeypatch.setattr(search, "_expand", spy)
     for n, c in ((16, None), (20, TwoEndpoints(5, 15))):
-        base = count(n, c)
-        for workers in (2, 4):
+        expected = []
+        base = count(n, c, on_level=expected.append)
+        for workers, merge_rows in itertools.product((2, 4), MERGE_ROWS):
+            monkeypatch.setattr(search, "_MERGE_ROWS", merge_rows)
             pooled.clear()
-            r = count(n, c, workers=workers)
+            levels = []
+            r = count(n, c, workers=workers, on_level=levels.append)
             assert any(pooled)
             assert r.count == base.count
             assert [(s.level, s.class_count, s.node_sum) for s in r.levels] == [
                 (s.level, s.class_count, s.node_sum) for s in base.levels
             ]
+            _assert_same_levels(levels, expected)
+        monkeypatch.setattr(search, "_MERGE_ROWS", MERGE_ROWS[0])
 
 
 def test_maps_are_refused_for_another_constraint():

@@ -313,9 +313,9 @@ def estimated_level_bytes(n: int) -> int:
     Peak classes are estimated from measured ones (850 at n=20, 21k at
     n=30, 372k at n=40, growing about 1.33x per extra label).  Bytes per
     peak class and the fixed part come from the peak RSS of ``count(n)``
-    in a fresh process, single worker: 38, 52, 67 and 165 MiB at n = 30,
-    34, 36 and 40.  Above the 29 MiB that the import takes, that is 330 to
-    420 bytes per peak class, 4.8 to 6.8 times the n + 32 bytes a stored
+    in a fresh process, single worker: 38, 52, 70 and 169 MiB at n = 30,
+    34, 36 and 40.  Above the 29 MiB that the import takes, that is 350 to
+    430 bytes per peak class, 5.1 to 6.9 times the n + 32 bytes a stored
     class takes (the most at n = 30, where fixed costs weigh most).  The
     estimate charges 6 (n + 32) bytes per class above 32 MiB and is 40, 61,
     85 and 218 MiB at those n, above every measured peak, so the table

@@ -645,7 +645,7 @@ def _merge(parts):
     if total <= _MERGE_ROWS:
         return _group(parts)
     ranges = -(-total // _MERGE_ROWS)
-    step = max(1, _MERGE_ROWS // 16)
+    step = max(1, _MERGE_ROWS // 16)  # about 16 samples per range
     samples = np.sort(np.concatenate([_rows(keys)[::step] for keys, _ in parts]))
     splitters = samples[np.arange(1, ranges) * len(samples) // ranges]
     pieces = [[] for _ in range(ranges)]
@@ -654,7 +654,7 @@ def _merge(parts):
         cuts = [0, *np.searchsorted(_rows(keys), splitters, side="left").tolist(), len(keys)]
         for piece, a, b in zip(pieces, cuts, cuts[1:]):
             piece.append((keys[a:b].copy(), mult[a:b].copy()))
-    del keys, mult
+    del keys, mult  # the last block, too, before the ranges are grouped
     out = [_group(piece) for piece in pieces]
     return np.concatenate([keys for keys, _ in out]), np.concatenate([mult for _, mult in out])
 

@@ -108,6 +108,21 @@ def _print_levels(levels) -> None:
         print(f"level {s.level:>3}  classes {s.class_count:>9}  nodes {s.node_sum}")
 
 
+def _load_resume_map(ckdir: Path, n: int, constraint):
+    """The deepest matching checkpoint in ``ckdir`` that loads, or None."""
+    # A damaged file costs its level only: fall back to the next one.
+    for found in report.resume_candidates(ckdir, n, constraint):
+        try:
+            cmap = report.load_checkpoint(found, expect_n=n, expect_constraint=constraint)
+        except report.CheckpointError as exc:
+            print(f"warning: cannot resume from {found}: {exc}", file=sys.stderr)
+            continue
+        print(f"resuming from {found} (level {cmap.level})", file=sys.stderr)
+        return cmap
+    print("no matching checkpoint found, starting fresh", file=sys.stderr)
+    return None
+
+
 def _cmd_count(args, parser) -> int:
     n = args.n
     constraint = _parse_constraint(args, n, parser)
@@ -115,32 +130,24 @@ def _cmd_count(args, parser) -> int:
     if args.resume and args.checkpoint_dir is None:
         parser.error("argument --resume: requires --checkpoint-dir")
 
-    initial = None
+    ckdir = None
     on_level = None
     if args.checkpoint_dir is not None:
         ckdir = Path(args.checkpoint_dir)
         ckdir.mkdir(parents=True, exist_ok=True)
-        if args.resume:
-            # A damaged file costs its level only: fall back to the next one.
-            for found in report.resume_candidates(ckdir, n, constraint):
-                try:
-                    initial = report.load_checkpoint(
-                        found, expect_n=n, expect_constraint=constraint
-                    )
-                except report.CheckpointError as exc:
-                    print(f"warning: cannot resume from {found}: {exc}", file=sys.stderr)
-                    continue
-                print(f"resuming from {found} (level {initial.level})", file=sys.stderr)
-                break
-            else:
-                print("no matching checkpoint found, starting fresh", file=sys.stderr)
 
         def on_level(cmap, _dir=ckdir, _c=constraint):
             name = report.checkpoint_filename(cmap.n, _c, cmap.level)
             report.save_checkpoint(cmap, _dir / name, _c)
 
+    # The resumed map goes straight into count, which frees it once it has
+    # been expanded; a local here would hold it to the end of the run.
     result = search.count(
-        n, constraint, workers=threads, initial=initial, on_level=on_level
+        n,
+        constraint,
+        workers=threads,
+        initial=_load_resume_map(ckdir, n, constraint) if args.resume else None,
+        on_level=on_level,
     )
     if args.format == "plain":
         if args.stats:

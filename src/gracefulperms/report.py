@@ -8,6 +8,7 @@ of the same computation produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -102,7 +103,15 @@ def checkpoint_filename(n: int, constraint: Constraint, level: int) -> str:
 
 
 def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constraint = None) -> None:
-    """Write one level's class map; records are in the map's sorted key order."""
+    """Write one level's class map; records are in the map's sorted key order.
+
+    Records are built and written ``search._BLOCK_ROWS`` at a time through
+    one block-sized buffer, into ``<path>.tmp`` in the same directory.  That
+    file is synced to disk and then renamed onto ``path``, so ``path``
+    holds either its previous content or the complete new file, never a
+    part.  On failure the temporary file is removed; an ``OSError`` is
+    raised as ``CheckpointError``.
+    """
     if cmap.constraint is not None and cmap.constraint != constraint:
         raise CheckpointError(
             f"map was built for {cmap.constraint!r}, cannot be saved as {constraint!r}"
@@ -110,17 +119,29 @@ def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constrai
     n, rows = cmap.n, len(cmap.keys)
     # Each record: the two-byte key, then the limbs as they are held,
     # d lo, d hi, r lo, r hi, each a little-endian 64-bit word.
-    records = np.empty((rows, 2 * n + 2 * _MULT_BYTES), dtype=np.uint8)
-    search._widen(cmap.keys, out=records[:, : 2 * n])
-    records[:, 2 * n :] = cmap.mult.astype("<u8", copy=False).view(np.uint8)
+    buffer = np.empty((min(rows, search._BLOCK_ROWS), 2 * n + 2 * _MULT_BYTES), dtype=np.uint8)
     tag, la, lb = _constraint_tag(constraint)
     header = MAGIC + _HEADER.pack(VERSION, n, tag, la, lb, cmap.level, rows)
+    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(header)
-            fh.write(records)
-    except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+            for start in range(0, rows, search._BLOCK_ROWS):
+                keys = cmap.keys[start : start + search._BLOCK_ROWS]
+                records = buffer[: len(keys)]
+                search._widen(keys, out=records[:, : 2 * n])
+                mult = cmap.mult[start : start + len(keys)]
+                records[:, 2 * n :] = mult.astype("<u8", copy=False).view(np.uint8)
+                fh.write(records)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+        raise
 
 
 _UNSET = object()

@@ -566,8 +566,12 @@ def _dead_tests(n: int, level: int, constraint: Constraint):
     label, or, before the path is complete, the two required ends end one
     partial path.  Returns None when nothing can die, else the
     ``(label, low, high)`` tests, any of which kills a slot when the key
-    byte of that label lies in ``low..high``, for the direct slot and for
-    the reflected slot, both in key coordinates.
+    byte of that label lies in ``low..high``: the first list for the
+    direct slot, the second for the reflected slot.  Both read the key as
+    it is, so they hold for any state of the level, canonical or not: the
+    second list is the first one read on the complement.  The engine
+    applies them to each child before it is oriented, and ``finalize`` and
+    the per-key loop to canonical keys.
     """
     if constraint is None:
         return None
@@ -590,11 +594,12 @@ def _dead_tests(n: int, level: int, constraint: Constraint):
     return tests(*ends), tests(*(last - e for e in ends))
 
 
-def _dead_rows(keys: np.ndarray, tests) -> np.ndarray:
-    dead = np.zeros(len(keys), dtype=bool)
-    for label, low, high in tests:
-        dead |= keys[:, label] - np.uint8(low) <= high - low
-    return dead
+def _dead_rows(columns, tests) -> np.ndarray:
+    """True for each row that one of the tests kills; ``columns[label]``
+    is the uint8 column of key bytes at that label."""
+    return np.logical_or.reduce(
+        [columns[label] - np.uint8(low) <= high - low for label, low, high in tests]
+    )
 
 
 def _rows(keys: np.ndarray) -> np.ndarray:
@@ -680,22 +685,54 @@ def _orient(keys: np.ndarray):
 
 
 def _expand_block(job):
-    """Children of a block of parent rows: placed, canonicalised, pruned
-    and grouped, all as array operations."""
+    """Children of a block of parent rows: placed, pruned, canonicalised
+    and grouped, all as array operations.
+
+    Children are generated edge by edge, in ``(u, row)`` order: one
+    edge's children of parents in key order come out largely in key
+    order, which the stable group sort merges as presorted runs.  Pruning
+    reads the child's bytes at the tested labels off the parent row and
+    the edge's writes, so dead children are dropped before their rows are
+    built.
+    """
     n, k, keys, mult, dead = job
     m = n - k
     ok = (keys[:, :m] != 0) & (keys[:, k:] != 0)
     ok &= keys[:, :m] != np.arange(k + 1, n + 1, dtype=np.uint8)
-    row, u = np.nonzero(ok)
+    u, row = np.nonzero(ok.T)
     v = u + k
     cu = keys[row, u]
     cv = keys[row, v]
     # An end u of a path with partner pu, or an unused label (pu = u):
     # the edge joins pu and pv into one path, and path ends become interior.
+    # The labels written below, pu, pv and the ends among u and v, are
+    # distinct (an edge closing a path is refused above), so a child byte
+    # takes at most one of the writes.
     end_u = cu != n + 1
     end_v = cv != n + 1
     pu = np.where(end_u, cu - 1, u)
     pv = np.where(end_v, cv - 1, v)
+    if dead is not None:
+        # The child's bytes at the tested labels.  Zeros go to u and v
+        # first, so that an unused u or v (pu = u, pv = v) takes its
+        # partner's byte over the zero, as in the child built below.
+        labels = sorted({label for tests in dead for label, _, _ in tests})
+        lab = np.array(labels)
+        at = keys[row[:, None], lab]
+        at[(u[:, None] == lab) | (v[:, None] == lab)] = 0
+        np.copyto(at, pv[:, None] + 1, where=pu[:, None] == lab, casting="unsafe")
+        np.copyto(at, pu[:, None] + 1, where=pv[:, None] == lab, casting="unsafe")
+        at = dict(zip(labels, at.T))
+        # The direct count holds the child as it is; the reflected count
+        # holds its complement, which dies under dead[0] exactly when the
+        # child dies under dead[1].
+        out = mult[row]
+        out[_dead_rows(at, dead[0]), :2] = 0
+        out[_dead_rows(at, dead[1]), 2:] = 0
+        live = out.any(axis=1)
+        row, u, v, pu, pv, end_u, end_v, out = (
+            x[live] for x in (row, u, v, pu, pv, end_u, end_v, out)
+        )
     i = np.arange(len(row))
     child = keys[row]
     child[i, pu] = pv + 1
@@ -705,16 +742,12 @@ def _expand_block(job):
     comp, reflected, self_comp = _orient(child)
     canon = child
     canon[reflected] = comp[reflected]
-    out = mult[row]
+    if dead is None:
+        out = mult[row]
     out[reflected] = out[reflected][:, [2, 3, 0, 1]]
     if self_comp.any():
         out[self_comp, :2] = _add128(out[self_comp, :2], out[self_comp, 2:])
         out[self_comp, 2:] = 0
-    if dead is not None:
-        out[_dead_rows(canon, dead[0]), :2] = 0
-        out[_dead_rows(canon, dead[1]), 2:] = 0
-        live = out.any(axis=1)
-        canon, out = canon[live], out[live]
     return _group([(canon, out)])
 
 
@@ -827,7 +860,7 @@ def finalize(cmap: ClassMap, constraint: Constraint = None) -> int:
     if dead is None:
         return 2 * cmap.node_sum()
     return sum(
-        _limb_sum(cmap.mult[~_dead_rows(cmap.keys, tests), 2 * slot : 2 * slot + 2])
+        _limb_sum(cmap.mult[~_dead_rows(cmap.keys.T, tests), 2 * slot : 2 * slot + 2])
         for slot, tests in enumerate(dead)
     )
 
@@ -846,7 +879,9 @@ def count(
     ``workers`` > 1 expands the blocks of large levels in processes;
     results are bit-identical to the single-worker run because the
     per-class merge is exact and independent of the blocks.  ``initial``
-    resumes from a previously saved map built for the same constraint;
+    resumes from a previously saved map built for the same constraint; it
+    is released after its expansion, so a map the caller passes without
+    keeping a reference is freed before the first ``on_level`` call.
     ``on_level`` is called after every completed level.
     """
     t0 = time.perf_counter()
@@ -867,7 +902,9 @@ def count(
             raise ValueError(
                 f"initial map was built for {initial.constraint!r}, not {constraint!r}"
             )
-        cmap = initial
+        # Hold the map only as the current level, so that it is freed once
+        # it has been expanded unless the caller keeps it.
+        cmap, initial = initial, None
     else:
         cmap = root_map(n)
     stats = [LevelStats(cmap.level, len(cmap.keys), cmap.node_sum(), 0.0)]

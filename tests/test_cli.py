@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
+from gracefulperms import report
 from gracefulperms.cli import main
 from gracefulperms.search import is_graceful
 
@@ -81,6 +83,37 @@ def test_count_checkpoint_and_resume(capsys, tmp_path):
                          "--checkpoint-dir", ckdir, "--resume")
     assert code == 0 and out.strip() == "4382"
     assert "resuming" in err
+
+
+def test_resume_frees_the_loaded_map_after_its_expansion(capsys, tmp_path, monkeypatch):
+    """``count --resume`` keeps no reference to the map it loaded: by the
+    first checkpoint written after the resume, the map and its arrays
+    are freed."""
+    ckdir = tmp_path / "ck"
+    args = ("count", "--n", "20", "--endpoints", "5,15", "--checkpoint-dir", str(ckdir))
+    assert run(capsys, *args)[0] == 0
+    for path in ckdir.glob("*.ckpt"):
+        if int(path.stem[-3:]) < 9:
+            path.unlink()
+    refs = []
+    freed = []
+    real_load, real_save = report.load_checkpoint, report.save_checkpoint
+
+    def load(*a, **kw):
+        m = real_load(*a, **kw)
+        refs.extend(weakref.ref(x) for x in (m, m.keys, m.mult))
+        return m
+
+    def save(*a, **kw):
+        freed.append([ref() is None for ref in refs])
+        real_save(*a, **kw)
+
+    monkeypatch.setattr(report, "load_checkpoint", load)
+    monkeypatch.setattr(report, "save_checkpoint", save)
+    code, out, err = run(capsys, *args, "--resume")
+    assert code == 0 and out.strip() == "4382"
+    assert "(level 9)" in err
+    assert len(freed) == 9 and freed[0] == [True, True, True]
 
 
 def test_resume_falls_back_past_a_damaged_deepest_checkpoint(capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import struct
 
@@ -195,6 +197,61 @@ def test_checkpoint_binary_layout(tmp_path):
     assert int.from_bytes(blob[29:45], "little") == 1
     assert int.from_bytes(blob[45:61], "little") == 0
     assert len(blob) == 61
+
+
+def _whole_level_bytes(cmap, constraint):
+    """A checkpoint built in one piece, as the format describes it: the
+    header, then every record's two-byte key and little-endian limbs."""
+    tag, la, lb = report._constraint_tag(constraint)
+    wide = search._widen(cmap.keys)
+    limbs = cmap.mult.astype("<u8").view(np.uint8)
+    return (
+        b"GRACEFL1"
+        + struct.pack("<HHBBBHQ", 1, cmap.n, tag, la, lb, cmap.level, len(cmap.keys))
+        + np.concatenate([wide, limbs], axis=1).tobytes()
+    )
+
+
+@pytest.mark.parametrize("n,c", [(20, TwoEndpoints(5, 15)), (14, None)])
+def test_streamed_save_matches_the_whole_level_bytes(tmp_path, monkeypatch, n, c):
+    """Saving a block at a time writes the same bytes at every block size,
+    on every level, and leaves no temporary file behind."""
+    levels = []
+    count(n, c, on_level=levels.append)
+    path = tmp_path / "m.ckpt"
+    for block_rows in (1, 7, search._BLOCK_ROWS):
+        monkeypatch.setattr(search, "_BLOCK_ROWS", block_rows)
+        for m in levels:
+            save_checkpoint(m, path, c)
+            assert path.read_bytes() == _whole_level_bytes(m, c)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A write that fails after the first block leaves the file at the
+    path as it was, removes the temporary file and names the path."""
+    c = TwoEndpoints(5, 15)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_level_map(20, 12, c), path, c)
+    before = path.read_bytes()
+    writes = []
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == 3:  # the header, one block, then the disk is full
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(report, "open", FullDisk, raising=False)
+    wider = _level_map(20, 9, c)
+    assert len(wider.keys) > 2 * 7
+    with pytest.raises(CheckpointError, match=f"cannot write checkpoint {path}: .*No space"):
+        save_checkpoint(wider, path, c)
+    assert len(writes) == 3
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_resume_matches_uninterrupted(tmp_path):

@@ -8,6 +8,7 @@ counts are the published ones the engine must reproduce.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -207,9 +208,22 @@ def test_expand_paths_agree(monkeypatch):
     """The per-key loop and the array path, each forced to run alone,
     build identical levels.  Blocks of 7 parent rows make the array path
     merge children across blocks on every level it handles, at every
-    forced merge size."""
+    forced merge size.  The per-key loop prunes canonical keys and the
+    array path children before they are oriented, so the constrained
+    cases cross-check the two ways of reading the dead tests."""
     monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
-    grid = [(n, c) for n in (9, 12) for c in (None, OneEndpoint(1), TwoEndpoints(0, n - 1))]
+    grid = [
+        (n, c)
+        for n in (9, 12)
+        for c in (
+            None,
+            OneEndpoint(1),
+            OneEndpoint(n // 2),
+            TwoEndpoints(0, n - 1),
+            TwoEndpoints(2, 2),
+            TwoEndpoints(3, n - 4),  # mirror-symmetric ends
+        )
+    ]
     for (n, c), prune in itertools.product(grid, (True, False)):
         monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", 10**9)
         by_key = _all_levels(n, c, prune)
@@ -556,6 +570,31 @@ def test_count_resume_from_initial_map():
     assert resumed.levels[0].level == mid.level
     with pytest.raises(ValueError):
         count(19, c, initial=mid)
+
+
+def test_count_frees_an_initial_map_the_caller_does_not_keep():
+    """count() holds ``initial`` only as its current level: a map passed
+    without another reference, and its arrays, are freed by the time the
+    first expanded level is handed to ``on_level``."""
+    c = TwoEndpoints(5, 15)
+    maps = []
+    base = count(20, c, on_level=maps.append)
+    refs = []
+
+    def resumable():
+        mid = maps[10]
+        m = ClassMap(20, mid.level, mid.keys.copy(), mid.mult.copy(), c)
+        refs.extend(weakref.ref(x) for x in (m, m.keys, m.mult))
+        return m
+
+    freed = []
+
+    def on_level(cmap):
+        freed.append([ref() is None for ref in refs])
+
+    resumed = count(20, c, initial=resumable(), on_level=on_level)
+    assert resumed.count == base.count
+    assert freed[0] == [True, True, True]
 
 
 @settings(max_examples=60, deadline=None)

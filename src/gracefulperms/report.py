@@ -109,8 +109,9 @@ def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constrai
     one block-sized buffer, into ``<path>.tmp`` in the same directory.  That
     file is synced to disk and then renamed onto ``path``, so ``path``
     holds either its previous content or the complete new file, never a
-    part.  On failure the temporary file is removed; an ``OSError`` is
-    raised as ``CheckpointError``.
+    part; the directory is synced after the rename, so that the new name
+    survives a power loss.  On failure the temporary file is removed; an
+    ``OSError`` is raised as ``CheckpointError``.
     """
     if cmap.constraint is not None and cmap.constraint != constraint:
         raise CheckpointError(
@@ -136,12 +137,21 @@ def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constrai
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        _fsync_directory(os.path.dirname(os.path.abspath(path)))
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         if isinstance(exc, OSError):
             raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
         raise
+
+
+def _fsync_directory(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 _UNSET = object()

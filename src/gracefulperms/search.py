@@ -86,6 +86,11 @@ _MAX_MERGE_ROWS = 2**32 - 1
 #: Levels smaller than this are never worth farming out to worker processes.
 _PARALLEL_MIN_ROWS = 4096
 
+#: Key rows that ``_orient`` translates at a time.  Its two temporary byte
+#: strings are this size: chunks of 4,096 rows already raised peak RSS, and
+#: one chunk per level would add two level-sized copies.
+_ORIENT_ROWS = 1024
+
 
 class ComputationRefused(Exception):
     """A structurally valid request was declined as too expensive."""
@@ -532,9 +537,26 @@ def _add128(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sum_groups(mult: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Exact sums of the ``(rows, 4)`` limb rows in the groups beginning at
-    ``starts``.  Each limb column is split into 32-bit digits and summed
-    one column at a time, then carries are propagated; the digit sums
-    cannot wrap for groups under 2**32 rows."""
+    ``starts``.
+
+    When no high limb is set and the largest low limb times the number of
+    rows is below 2**64, no group's sum, nor any partial sum on the way to
+    it, can exceed 2**64 - 1, so one 64-bit ``reduceat`` over the low limbs
+    is exact and the high limbs of the sums are zero.  Other input goes
+    through ``_digit_sums``.
+    """
+    low = mult[:, 0::2]
+    if not mult[:, 1::2].any() and int(low.max(initial=0)) * len(mult) < 2**64:
+        out = np.zeros((len(starts), 4), dtype=np.uint64)
+        out[:, 0::2] = np.add.reduceat(low, starts, axis=0)
+        return out
+    return _digit_sums(mult, starts)
+
+
+def _digit_sums(mult: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``_sum_groups`` for any input.  Each limb column is split into
+    32-bit digits and summed one column at a time, then carries are
+    propagated; the digit sums cannot wrap for groups under 2**32 rows."""
     out = np.empty((len(starts), 4), dtype=np.uint64)
     for value in (0, 2):
         carry = 0
@@ -677,9 +699,20 @@ def _orient(keys: np.ndarray):
     """The complement of every one-byte key row (labels reversed, each
     partner p read as n - 1 - p), whether it sorts strictly below the key
     (the row is reflected) and whether it equals the key
-    (self-complementary)."""
-    table = np.frombuffer(_byte_tables(keys.shape[1])[0], dtype=np.uint8)
-    comp = table[keys[:, ::-1]]
+    (self-complementary).
+
+    The key bytes are mapped by ``bytes.translate``, ``_ORIENT_ROWS`` rows
+    at a time, into one array; the complement is a view of that array with
+    its columns reversed.
+    """
+    n = keys.shape[1]
+    table = _byte_tables(n)[0]
+    mapped = np.empty(keys.shape, dtype=np.uint8)
+    flat = mapped.reshape(-1)
+    for i in range(0, len(keys), _ORIENT_ROWS):
+        chunk = keys[i : i + _ORIENT_ROWS].tobytes().translate(table)
+        flat[i * n : i * n + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
+    comp = mapped[:, ::-1]
     reflected, self_comp = _compare_rows(comp, keys)
     return comp, reflected, self_comp
 

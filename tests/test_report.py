@@ -5,6 +5,8 @@ from __future__ import annotations
 import errno
 import io
 import json
+import os
+import stat
 import struct
 
 import pytest
@@ -252,6 +254,57 @@ def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
     assert len(writes) == 3
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """The file is synced before the rename, and its directory after it,
+    so that the new name survives a power loss."""
+    c = TwoEndpoints(5, 15)
+    path = tmp_path / "m.ckpt"
+    synced = []
+    fsync = os.fsync
+
+    def spy(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        synced.append((is_dir, sorted(p.name for p in tmp_path.iterdir())))
+        if is_dir:
+            assert os.path.samestat(os.fstat(fd), os.stat(tmp_path))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    save_checkpoint(_level_map(20, 12, c), path, c)
+    save_checkpoint(_level_map(20, 11, c), path, c)
+    before, after = (False, ["m.ckpt.tmp"]), (True, ["m.ckpt"])
+    overwrite = (False, ["m.ckpt", "m.ckpt.tmp"])
+    assert synced == [before, after, overwrite, after]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, search._ORIENT_ROWS + 1])
+@pytest.mark.parametrize("n,c", [(24, None), (36, TwoEndpoints(9, 27))])
+def test_load_orients_blocks_like_the_table_lookup(tmp_path, monkeypatch, block_rows, n, c):
+    """With small blocks, every complement the loader computes equals the
+    byte-map lookup, and the widest level reads back as it was."""
+    levels = []
+    count(n, c, on_level=levels.append)
+    widest = max(levels, key=lambda m: len(m.keys))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(widest, path, c)
+    orient = search._orient
+    seen = []
+
+    def checked(keys):
+        table = np.frombuffer(search._byte_tables(keys.shape[1])[0], dtype=np.uint8)
+        comp, reflected, self_comp = orient(keys)
+        assert np.array_equal(comp, table[keys[:, ::-1]])
+        seen.append(len(keys))
+        return comp, reflected, self_comp
+
+    monkeypatch.setattr(search, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(search, "_orient", checked)
+    loaded = load_checkpoint(path)
+    assert sum(seen) == len(widest.keys) and max(seen) == min(block_rows, len(widest.keys))
+    assert np.array_equal(loaded.keys, widest.keys)
+    assert np.array_equal(loaded.mult, widest.mult)
 
 
 def test_checkpoint_resume_matches_uninterrupted(tmp_path):

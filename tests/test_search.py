@@ -373,6 +373,33 @@ def test_orientation_helper_matches_the_state_functions(states):
     assert np.array_equal(back, keys)
 
 
+def _table_orient(keys):
+    """The complement by a lookup in the byte map, and the orientation
+    flags by comparing byte strings row by row."""
+    table = np.frombuffer(search._byte_tables(keys.shape[1])[0], dtype=np.uint8)
+    comp = table[keys[:, ::-1]]
+    pairs = [(c.tobytes(), k.tobytes()) for c, k in zip(comp, keys)]
+    return comp, [c < k for c, k in pairs], [c == k for c, k in pairs]
+
+
+@pytest.mark.parametrize("n,c", [(24, None), (36, TwoEndpoints(9, 27))])
+def test_orient_chunks_match_the_table_lookup(n, c):
+    """At and around the chunk size, on the canonical keys of a level and
+    on their complements, which are reflected unless self-complementary."""
+    levels = []
+    count(n, c, on_level=levels.append)
+    keys = max(levels, key=lambda m: len(m.keys)).keys
+    chunk = search._ORIENT_ROWS
+    assert len(keys) > chunk + 1
+    for rows in (0, 1, chunk - 1, chunk, chunk + 1):
+        for part in (keys[:rows], _table_orient(keys[:rows])[0]):
+            comp, reflected, self_comp = search._orient(part)
+            want_comp, want_reflected, want_self = _table_orient(part)
+            assert np.array_equal(comp, want_comp)
+            assert reflected.tolist() == want_reflected
+            assert self_comp.tolist() == want_self
+
+
 def _limb_rows(values):
     return np.array(
         [[x & (2**64 - 1), x >> 64] for x in values], dtype=np.uint64
@@ -429,6 +456,49 @@ def test_group_sum_raises_once_a_group_reaches_2_128():
     for pair in ((1, 0), (0, 1)):
         with pytest.raises(search.MultiplicityOverflow, match="2\\*\\*128"):
             search._group([(keys, search._limbs([(top - 1, 0), (1, top), pair]))])
+
+
+Q = (2**64 - 1) // 3
+
+
+@pytest.mark.parametrize(
+    "pairs,starts,one_pass",
+    [
+        # the largest low limb times the rows is 2**64 - 1: no sum can wrap
+        ([(Q, 1), (Q, 0), (Q, 2)], [0], True),
+        ([(Q, 1), (Q, 0), (Q, 2)], [0, 2], True),
+        # it is 2**64: one group's low limbs add up to exactly 2**64
+        ([(2**63, 0), (2**63, 0)], [0], False),
+        ([(2**62, 2**62)] * 4, [0], False),
+        # one high limb set, the low limbs tiny
+        ([(2**64, 0), (1, 0)], [0], False),
+        ([(0, 1), (1, 2**64 + 5)], [0, 1], False),
+        # a low limb of 2**64 - 1 in a group of two carries into the high limb
+        ([(2**64 - 1, 0), (1, 0)], [0], False),
+        ([(0, 2**64 - 1), (0, 1), (3, 0)], [0, 2], False),
+    ],
+)
+def test_group_sums_at_the_one_pass_boundary(monkeypatch, pairs, starts, one_pass):
+    """The one-pass sum is taken exactly when the largest low limb times
+    the number of rows is below 2**64 and no high limb is set; both paths
+    match Python ints at the edges."""
+    digit_calls = []
+
+    def digit_sums(mult, starts):
+        digit_calls.append(len(mult))
+        return digit_path(mult, starts)
+
+    digit_path = search._digit_sums
+    monkeypatch.setattr(search, "_digit_sums", digit_sums)
+    mult = search._limbs(pairs)
+    out = search._sum_groups(mult, np.array(starts, dtype=np.intp))
+    bounds = starts + [len(pairs)]
+    want = [
+        [sum(p[slot] for p in pairs[a:b]) for slot in (0, 1)]
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    assert [[dl | dh << 64, rl | rh << 64] for dl, dh, rl, rh in out.tolist()] == want
+    assert digit_calls == ([] if one_pass else [len(pairs)])
 
 
 @pytest.mark.parametrize("array_min_rows", [0, 10**9])

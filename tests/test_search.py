@@ -419,8 +419,9 @@ def _limb_rows(values):
     st.data(),
 )
 def test_group_sums_match_python_ints(pairs, data):
-    """The 32-bit digit sums with carries give every group's exact 128-bit
-    sum, and raise the named error instead of wrapping at 2**128; the
+    """Group sums, one-pass or from 32-bit digits with carries, give every
+    group's exact 128-bit sum, and raise the named error instead of
+    wrapping at 2**128; the
     whole-map sum is exact through ``tolist`` and through digit sums."""
     rows = len(pairs)
     cuts = data.draw(st.sets(st.integers(1, rows - 1)) if rows > 1 else st.just(set()))
@@ -458,15 +459,15 @@ def test_group_sum_raises_once_a_group_reaches_2_128():
             search._group([(keys, search._limbs([(top - 1, 0), (1, top), pair]))])
 
 
-Q = (2**64 - 1) // 3
+_THIRD = (2**64 - 1) // 3  # three of these make 2**64 - 1
 
 
 @pytest.mark.parametrize(
     "pairs,starts,one_pass",
     [
         # the largest low limb times the rows is 2**64 - 1: no sum can wrap
-        ([(Q, 1), (Q, 0), (Q, 2)], [0], True),
-        ([(Q, 1), (Q, 0), (Q, 2)], [0, 2], True),
+        ([(_THIRD, 1), (_THIRD, 0), (_THIRD, 2)], [0], True),
+        ([(_THIRD, 1), (_THIRD, 0), (_THIRD, 2)], [0, 2], True),
         # it is 2**64: one group's low limbs add up to exactly 2**64
         ([(2**63, 0), (2**63, 0)], [0], False),
         ([(2**62, 2**62)] * 4, [0], False),

@@ -116,9 +116,7 @@ def glue(
     return glued
 
 
-def verify_inequality(
-    r: int, m: int, j: int, *, workers: int = 1
-) -> tuple[int, int, bool]:
+def verify_inequality(r: int, m: int, j: int) -> tuple[int, int, bool]:
     """Exact check of G(r+2m; j) >= G(2m; j, j+m) * G(r; j).
 
     Requires j <= m.  When j is not a valid label of one of the right-hand
@@ -128,12 +126,12 @@ def verify_inequality(
         raise ValueError(f"the inequality needs j <= m, got j={j}, m={m}")
     if min(r, m, j) < 0 or r < 1:
         raise ValueError("r must be >= 1 and m, j >= 0")
-    lhs = count(r + 2 * m, OneEndpoint(j), workers=workers).count
+    lhs = count(r + 2 * m, OneEndpoint(j)).count
     if j + m <= 2 * m - 1:
-        pairs = count(2 * m, TwoEndpoints(j, j + m), workers=workers).count
+        pairs = count(2 * m, TwoEndpoints(j, j + m)).count
     else:
         pairs = 0
-    starts = count(r, OneEndpoint(j), workers=workers).count if j <= r - 1 else 0
+    starts = count(r, OneEndpoint(j)).count if j <= r - 1 else 0
     rhs = pairs * starts
     return lhs, rhs, lhs >= rhs
 
@@ -167,9 +165,9 @@ def gamma_value(cnt: int, two_m: int) -> float:
     return scaled / scale
 
 
-def gamma(m: int, j: int, *, workers: int = 1) -> BoundResult:
+def gamma(m: int, j: int) -> BoundResult:
     """Count (2m; j, j+m)-permutations and extract the growth base."""
-    cnt = count(2 * m, TwoEndpoints(j, j + m), workers=workers).count
+    cnt = count(2 * m, TwoEndpoints(j, j + m)).count
     if cnt == 0:
         return BoundResult(m, j, 0, 0.0, zero_count=True)
     return BoundResult(m, j, cnt, gamma_value(cnt, 2 * m))

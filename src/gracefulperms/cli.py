@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -49,30 +48,12 @@ def _decimal_arg(text: str) -> str:
     return text
 
 
-def _default_threads(parser: argparse.ArgumentParser) -> int:
-    env = os.environ.get("GRACEFUL_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            parser.error(f"GRACEFUL_THREADS must be a positive integer, got {env!r}")
-        if value < 1:
-            parser.error(f"GRACEFUL_THREADS must be a positive integer, got {env!r}")
-        return value
-    return os.cpu_count() or 1
-
-
 def _add_endpoint_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--endpoint", type=_nonneg_int, metavar="A",
                        help="count only permutations starting at label A")
     group.add_argument("--endpoints", metavar="A,B",
                        help="count only permutations starting at A and ending at B")
-
-
-def _add_threads_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threads", type=_positive_int, default=None,
-                     help="worker processes (default: GRACEFUL_THREADS or all cores)")
 
 
 def _parse_constraint(args, n: int, parser: argparse.ArgumentParser):
@@ -99,15 +80,6 @@ def _parse_constraint(args, n: int, parser: argparse.ArgumentParser):
     return None
 
 
-def _resolve_threads(args, parser) -> int:
-    return args.threads if args.threads is not None else _default_threads(parser)
-
-
-def _print_levels(levels) -> None:
-    for s in levels:
-        print(f"level {s.level:>3}  classes {s.class_count:>9}  nodes {s.node_sum}")
-
-
 def _load_resume_map(ckdir: Path, n: int, constraint):
     """The deepest matching checkpoint in ``ckdir`` that loads, or None."""
     # A damaged file costs its level only: fall back to the next one.
@@ -126,7 +98,6 @@ def _load_resume_map(ckdir: Path, n: int, constraint):
 def _cmd_count(args, parser) -> int:
     n = args.n
     constraint = _parse_constraint(args, n, parser)
-    threads = _resolve_threads(args, parser)
     if args.resume and args.checkpoint_dir is None:
         parser.error("argument --resume: requires --checkpoint-dir")
 
@@ -145,13 +116,15 @@ def _cmd_count(args, parser) -> int:
     result = search.count(
         n,
         constraint,
-        workers=threads,
         initial=_load_resume_map(ckdir, n, constraint) if args.resume else None,
         on_level=on_level,
     )
     if args.format == "plain":
         if args.stats:
-            _print_levels(result.levels)
+            for s in result.levels:
+                print(f"level {s.level:>3}  classes {s.class_count:>9}  nodes {s.node_sum}")
+            print(f"peak classes: {max(s.class_count for s in result.levels)}",
+                  file=sys.stderr)
         print(result.count)
     elif args.format == "csv":
         print("n,count")
@@ -162,26 +135,17 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_table(args, parser) -> int:
-    threads = _resolve_threads(args, parser)
     if args.to_n < args.from_n:
         parser.error("argument --to: must be >= --from")
-    print(
-        report.emit_table(
-            args.from_n,
-            args.to_n,
-            args.format,
-            workers=threads,
-            budget_mb=args.budget_mb,
-        )
-    )
+    rows = report.build_table(args.from_n, args.to_n, budget_mb=args.budget_mb)
+    print(report.format_table(rows, args.format))
     return 0
 
 
 def _cmd_ratios(args, parser) -> int:
-    threads = _resolve_threads(args, parser)
     if args.to_n < args.from_n + 1:
         parser.error("argument --to: ratios need at least --from + 1")
-    print(report.emit_ratios(args.from_n, args.to_n, workers=threads))
+    print(report.format_ratios(report.build_ratios(args.from_n, args.to_n)))
     return 0
 
 
@@ -197,10 +161,9 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_bound(args, parser) -> int:
-    threads = _resolve_threads(args, parser)
     if args.j >= args.m:
         parser.error(f"argument --j: must be below --m, got j={args.j}, m={args.m}")
-    result = bounds.gamma(args.m, args.j, workers=threads)
+    result = bounds.gamma(args.m, args.j)
     print(f"count = {result.count}")
     print(f"gamma = {result.gamma:.4f}")
     if result.zero_count:
@@ -254,13 +217,6 @@ def _cmd_verify(args, parser) -> int:
     return 0
 
 
-def _cmd_stats(args, parser) -> int:
-    result = search.count(args.n, None)
-    _print_levels(result.levels)
-    print(f"peak classes: {max(s.class_count for s in result.levels)}", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graceful",
@@ -271,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count graceful permutations")
     p.add_argument("--n", type=_positive_int, required=True, help="number of labels")
     _add_endpoint_flags(p)
-    _add_threads_flag(p)
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--stats", action="store_true", help="print per-level statistics")
+    p.add_argument("--stats", action="store_true",
+                   help="print per-level statistics, and the peak class count on stderr")
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="write a checkpoint after every level")
     p.add_argument("--resume", action="store_true",
@@ -286,13 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--budget-mb", type=_positive_int, default=report.DEFAULT_BUDGET_MB,
                    help="refuse table entries estimated to exceed this memory budget")
-    _add_threads_flag(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("ratios", help="growth ratios G(n+1)/G(n)")
     p.add_argument("--from", dest="from_n", type=_positive_int, required=True)
     p.add_argument("--to", dest="to_n", type=_positive_int, required=True)
-    _add_threads_flag(p)
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("enumerate", help="list graceful permutations")
@@ -307,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=_nonneg_int, required=True)
     p.add_argument("--threshold", type=_decimal_arg, default=None, metavar="X.YY",
                    help="certify that gamma strictly exceeds this decimal")
-    _add_threads_flag(p)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("witness", help="build a long graceful permutation by gluing")
@@ -320,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check all three counting routes")
     p.add_argument("--max-n", dest="max_n", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("stats", help="per-level class counts for one n")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.set_defaults(func=_cmd_stats)
 
     return parser
 

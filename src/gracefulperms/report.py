@@ -42,10 +42,8 @@ __all__ = [
     "resume_candidates",
     "build_table",
     "format_table",
-    "emit_table",
     "build_ratios",
     "format_ratios",
-    "emit_ratios",
     "count_result_json",
     "estimated_level_bytes",
     "DEFAULT_BUDGET_MB",
@@ -350,7 +348,10 @@ def estimated_level_bytes(n: int) -> int:
     class takes (the most at n = 30, where fixed costs weigh most).  The
     estimate charges 6 (n + 32) bytes per class above 32 MiB and is 40, 61,
     85 and 218 MiB at those n, above every measured peak, so the table
-    command refuses before memory runs out, never after.
+    command refuses before memory runs out, never after.  The calibration
+    holds for every CLI path, since the CLI always counts with one worker;
+    ``count(40)`` with two worker processes peaked at 242 MiB in its
+    parent alone, above this estimate.
     """
     if n <= 40:
         classes = int(450_000 * 1.35 ** (n - 40)) + 100
@@ -363,7 +364,6 @@ def build_table(
     from_n: int,
     to_n: int,
     *,
-    workers: int = 1,
     budget_mb: Optional[int] = DEFAULT_BUDGET_MB,
 ) -> list[tuple[int, int]]:
     """G(n) for n in from_n..to_n via the folded BFS."""
@@ -378,7 +378,7 @@ def build_table(
                 f"n={to_n} is estimated to need {need // (1024 * 1024)} MiB of class "
                 f"storage, over the budget of {budget_mb} MiB"
             )
-    return [(n, count(n, workers=workers).count) for n in range(from_n, to_n + 1)]
+    return [(n, count(n).count) for n in range(from_n, to_n + 1)]
 
 
 def format_table(rows: list[tuple[int, int]], fmt: str = "plain") -> str:
@@ -392,29 +392,11 @@ def format_table(rows: list[tuple[int, int]], fmt: str = "plain") -> str:
     raise ValueError(f"unknown table format {fmt!r}")
 
 
-def emit_table(
-    from_n: int,
-    to_n: int,
-    fmt: str = "plain",
-    *,
-    path: Optional[Union[str, Path]] = None,
-    workers: int = 1,
-    budget_mb: Optional[int] = DEFAULT_BUDGET_MB,
-) -> str:
-    text = format_table(build_table(from_n, to_n, workers=workers, budget_mb=budget_mb), fmt)
-    if path is not None:
-        try:
-            Path(path).write_text(text + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write table to {path}: {exc}") from exc
-    return text
-
-
-def build_ratios(from_n: int, to_n: int, *, workers: int = 1) -> list[tuple[int, str]]:
+def build_ratios(from_n: int, to_n: int) -> list[tuple[int, str]]:
     """(n, G(n+1)/G(n)) rows, ratios rendered to three decimal places."""
     if to_n < from_n + 1:
         raise ValueError("ratios need at least two consecutive table rows")
-    rows = build_table(from_n, to_n, workers=workers)
+    rows = build_table(from_n, to_n)
     out = []
     for (n, a), (_, b) in zip(rows, rows[1:]):
         # round-half-up on the exact rational, then render 3 decimals
@@ -426,10 +408,6 @@ def build_ratios(from_n: int, to_n: int, *, workers: int = 1) -> list[tuple[int,
 def format_ratios(rows: list[tuple[int, str]]) -> str:
     width = max(len(str(n)) for n, _ in rows)
     return "\n".join(f"{n:>{width}}  {ratio}" for n, ratio in rows)
-
-
-def emit_ratios(from_n: int, to_n: int, *, workers: int = 1) -> str:
-    return format_ratios(build_ratios(from_n, to_n, workers=workers))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command line behaviour: outputs, exit codes, env overrides."""
+"""Command line behaviour: outputs, exit codes, single-worker runs."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from gracefulperms import report
+from gracefulperms import report, search
 from gracefulperms.cli import main
 from gracefulperms.search import is_graceful
 
@@ -54,23 +54,21 @@ def test_count_stats_lines(capsys):
     assert lines[0].split() == ["level", "6", "classes", "1", "nodes", "1"]
 
 
-def test_count_threads_agree(capsys):
-    _, out1, _ = run(capsys, "count", "--n", "16", "--threads", "1")
-    _, out8, _ = run(capsys, "count", "--n", "16", "--threads", "8")
-    assert out1 == out8
+def test_commands_start_no_worker_pool(capsys, monkeypatch):
+    """Every counting command runs in one process, whatever the core count."""
 
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the CLI must not start worker processes")
 
-def test_count_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("GRACEFUL_THREADS", "2")
-    code, out, _ = run(capsys, "count", "--n", "12")
-    assert code == 0 and out.strip() == "1328"  # matches the tree-search route
-
-
-def test_count_bad_env_threads(capsys, monkeypatch):
-    monkeypatch.setenv("GRACEFUL_THREADS", "zero")
-    code, _, err = run(capsys, "count", "--n", "7")
-    assert code == 2
-    assert "GRACEFUL_THREADS" in err
+    monkeypatch.setattr(search.multiprocessing, "get_context", no_pool)
+    code, out, _ = run(capsys, "count", "--n", "16")
+    assert code == 0 and out.strip() == "55920"
+    code, out, _ = run(capsys, "table", "--from", "10", "--to", "12")
+    assert code == 0 and out.splitlines() == ["10  296", "11  648", "12  1328"]
+    code, out, _ = run(capsys, "ratios", "--from", "10", "--to", "12")
+    assert code == 0 and out.splitlines() == ["10  2.189", "11  2.049"]
+    code, out, _ = run(capsys, "bound", "--m", "5", "--j", "2")
+    assert code == 0 and out.splitlines() == ["count = 10", "gamma = 1.2589"]
 
 
 def test_count_checkpoint_and_resume(capsys, tmp_path):
@@ -151,7 +149,7 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nosuchcommand")
     assert code == 2
-    code, _, err = run(capsys, "count", "--n", "7", "--threads", "0")
+    code, _, err = run(capsys, "count", "--n", "7", "--threads", "2")
     assert code == 2 and "--threads" in err
     code, _, err = run(capsys, "bound", "--m", "3", "--j", "3")
     assert code == 2 and "--j" in err
@@ -247,7 +245,7 @@ def test_verify_refuses_past_brute_force_guard(capsys):
 
 
 def test_stats(capsys):
-    code, out, err = run(capsys, "stats", "--n", "7")
-    assert code == 0
-    assert len(out.splitlines()) == 7
-    assert "peak classes" in err
+    """``count --stats`` prints the peak line of the former ``stats`` command."""
+    code, _, err = run(capsys, "count", "--n", "7", "--stats")
+    assert code == 0 and err.strip() == "peak classes: 4"
+    assert run(capsys, "stats", "--n", "7")[0] == 2

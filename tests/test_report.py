@@ -20,9 +20,8 @@ from gracefulperms.report import (
     build_table,
     checkpoint_filename,
     count_result_json,
-    emit_ratios,
-    emit_table,
     find_resume_checkpoint,
+    format_ratios,
     format_table,
     load_checkpoint,
     read_checkpoint_header,
@@ -127,10 +126,9 @@ def test_table_validates_range():
         build_table(5, 4)
 
 
-def test_emit_table_writes_file(tmp_path):
-    out = tmp_path / "table.csv"
-    text = emit_table(1, 5, "csv", path=out)
-    assert out.read_text() == text + "\n"
+def test_format_table_of_built_rows():
+    text = format_table(build_table(1, 5), "csv")
+    assert text.splitlines() == ["n,count", "1,1", "2,2", "3,4", "4,4", "5,8"]
 
 
 def test_ratios():
@@ -139,7 +137,7 @@ def test_ratios():
     assert rows[2] == (3, "1.000")
     assert rows[5] == (6, "1.333")  # 32/24 rounded half-up at 3 decimals
     assert len(rows) == 7
-    assert emit_ratios(1, 4).splitlines()[0].split() == ["1", "2.000"]
+    assert format_ratios(build_ratios(1, 4)).splitlines()[0].split() == ["1", "2.000"]
     with pytest.raises(ValueError):
         build_ratios(3, 3)
 

@@ -100,6 +100,9 @@ def _cmd_count(args, parser) -> int:
     constraint = _parse_constraint(args, n, parser)
     if args.resume and args.checkpoint_dir is None:
         parser.error("argument --resume: requires --checkpoint-dir")
+    if args.stats and args.format != "plain":
+        # JSON output carries the levels already; CSV has no room for them.
+        parser.error(f"argument --stats: not allowed with --format {args.format}")
 
     ckdir = None
     on_level = None
@@ -122,7 +125,8 @@ def _cmd_count(args, parser) -> int:
     if args.format == "plain":
         if args.stats:
             for s in result.levels:
-                print(f"level {s.level:>3}  classes {s.class_count:>9}  nodes {s.node_sum}")
+                print(f"level {s.level:>3}  classes {s.class_count:>9}  nodes {s.node_sum}"
+                      f"  seconds {s.wall_time:.3f}")
             print(f"peak classes: {max(s.class_count for s in result.levels)}",
                   file=sys.stderr)
         print(result.count)
@@ -229,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_endpoint_flags(p)
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--stats", action="store_true",
-                   help="print per-level statistics, and the peak class count on stderr")
+                   help="print per-level statistics, and the peak class count on stderr "
+                        "(plain format only)")
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="write a checkpoint after every level")
     p.add_argument("--resume", action="store_true",

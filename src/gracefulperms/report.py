@@ -342,22 +342,24 @@ def estimated_level_bytes(n: int) -> int:
     Peak classes are estimated from measured ones (850 at n=20, 21k at
     n=30, 372k at n=40, growing about 1.33x per extra label).  Bytes per
     peak class and the fixed part come from the peak RSS of ``count(n)``
-    in a fresh process, single worker: 38, 52, 70 and 169 MiB at n = 30,
-    34, 36 and 40.  Above the 29 MiB that the import takes, that is 350 to
-    430 bytes per peak class, 5.1 to 6.9 times the n + 32 bytes a stored
-    class takes (the most at n = 30, where fixed costs weigh most).  The
-    estimate charges 6 (n + 32) bytes per class above 32 MiB and is 40, 61,
-    85 and 218 MiB at those n, above every measured peak, so the table
-    command refuses before memory runs out, never after.  The calibration
-    holds for every CLI path, since the CLI always counts with one worker;
-    ``count(40)`` with two worker processes peaked at 242 MiB in its
-    parent alone, above this estimate.
+    in a fresh process, single worker: 37.8, 48.0, 63.2 and 137.8 MiB at
+    n = 30, 34, 36 and 40, now that blocks are folded into a level as
+    they are done.  Above the 29 MiB that the import takes, that is 250
+    to 270 bytes per estimated peak class at n >= 34, 3.5 to 4.1 times
+    the n + 32 bytes a stored class takes, and more at n = 30, where
+    fixed costs weigh most.  The estimate charges 4 (n + 32) bytes per
+    class above 34 MiB and is 39.3, 52.7, 69.2 and 157.6 MiB at those n,
+    above every measured peak, so the table command refuses before
+    memory runs out, never after.  The calibration holds for every CLI
+    path, since the CLI always counts with one worker; ``count(40)`` with
+    two worker processes peaked at 242 MiB in its parent alone, above
+    this estimate.
     """
     if n <= 40:
         classes = int(450_000 * 1.35 ** (n - 40)) + 100
     else:
         classes = int(450_000 * 1.45 ** (n - 40))
-    return 32 * 2**20 + classes * 6 * (n + 32)
+    return 34 * 2**20 + classes * 4 * (n + 32)
 
 
 def build_table(
@@ -430,7 +432,12 @@ def count_result_json(result: CountResult) -> dict:
         "count": str(result.count),
         "elapsed_ms": int(result.elapsed * 1000),
         "levels": [
-            {"level": s.level, "classes": s.class_count, "nodes": str(s.node_sum)}
+            {
+                "level": s.level,
+                "classes": s.class_count,
+                "nodes": str(s.node_sum),
+                "seconds": s.wall_time,
+            }
             for s in result.levels
         ],
     }

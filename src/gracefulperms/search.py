@@ -70,17 +70,18 @@ BRUTE_FORCE_LIMIT = 11
 _ARRAY_MIN_ROWS = 16
 
 #: Parent rows the array path expands and groups at a time; bounds the
-#: expansion's working arrays.  The grouped children of every block are
-#: held until the level is merged.
+#: expansion's working arrays.  Each block's grouped children are folded
+#: into the level as soon as the block is done (``_fold``).
 _BLOCK_ROWS = 4096
 
-#: Grouped block rows that the level merge sorts at a time: the blocks'
-#: output is cut into key ranges of about this many rows, which bounds the
-#: merge's sort and sum transient.
+#: Grouped rows that a merge sorts at a time: a level being folded is kept
+#: in key ranges of _MERGE_ROWS / 4 to _MERGE_ROWS / 2 rows, and a merge
+#: of more rows is cut into key ranges of about this many rows, which
+#: bounds the merge's sort and sum transient.
 _MERGE_ROWS = 2**15
 
-#: Most rows a level may have before its merge; the 32-bit digit sums of
-#: a group of more rows could wrap.
+#: Most rows one merge may take; the 32-bit digit sums of a group of more
+#: rows could wrap.
 _MAX_MERGE_ROWS = 2**32 - 1
 
 #: Levels smaller than this are never worth farming out to worker processes.
@@ -632,13 +633,18 @@ def _rows(keys: np.ndarray) -> np.ndarray:
 def _group(parts):
     """Sort the rows of a list of (keys, mult) pairs by key bytes and add
     up the multiplicities of equal keys.  The list is emptied, so each
-    input array can be freed as soon as it is copied.  The stable sort
-    (a timsort) merges the presorted runs of grouped blocks instead of
-    sorting from scratch."""
+    input array can be freed as soon as it is copied; a single pair is
+    sorted without a copy.  The stable sort (a timsort) merges the
+    presorted runs of grouped blocks instead of sorting from scratch."""
     w = parts[0][0].shape[1]
-    rows = _rows(np.concatenate([p[0] for p in parts]))
-    mult = np.concatenate([p[1] for p in parts])
-    parts.clear()
+    if len(parts) == 1:
+        keys, mult = parts.pop()
+    else:
+        keys = np.concatenate([p[0] for p in parts])
+        mult = np.concatenate([p[1] for p in parts])
+        parts.clear()
+    rows = _rows(keys)
+    del keys
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     mult = mult[order]
@@ -652,22 +658,59 @@ def _group(parts):
     return keys, mult
 
 
-def _merge(parts):
-    """One level from the grouped outputs of its blocks, a list of sorted,
-    duplicate-free (keys, mult) pairs, which is emptied.
+def _join(runs):
+    """One (keys, mult) pair holding the rows of grouped runs, an iterable
+    in key order.
 
-    Splitters sampled from every block at even strides cut each block
-    into key ranges of about ``_MERGE_ROWS`` rows in all.  A cut takes the
-    first row not below its splitter, so equal keys from every block land
-    in one range.  Each block's slices are copied out before the next
-    block is cut, so the blocks are freed as they are redistributed; then
-    every range is grouped on its own and the ranges are joined in key
-    order.
+    The pair's arrays grow in place (``ndarray.resize``) by the runs taken
+    since they last grew, as soon as those hold as many rows as the arrays
+    do.  So the runs are freed as they are written, the arrays are resized
+    a logarithmic number of times, and no second copy of the whole output
+    is ever made.
+    """
+    keys = mult = None
+    batch = []
+
+    def grow():
+        end = len(keys)
+        rows = sum(len(k) for k, _ in batch)
+        keys.resize((end + rows, keys.shape[1]), refcheck=False)
+        mult.resize((end + rows, 4), refcheck=False)
+        for k, m in batch:
+            keys[end : end + len(k)] = k
+            mult[end : end + len(k)] = m
+            end += len(k)
+        batch.clear()
+
+    for run in runs:
+        if keys is None:
+            keys = np.empty((0, run[0].shape[1]), dtype=np.uint8)
+            mult = np.empty((0, 4), dtype=np.uint64)
+        batch.append(run)
+        del run
+        if sum(len(k) for k, _ in batch) >= len(keys):
+            grow()
+    if batch:
+        grow()
+    return keys, mult
+
+
+def _merge(parts):
+    """One grouped run from a list of sorted, duplicate-free (keys, mult)
+    runs, which is emptied.
+
+    A merge of more than ``_MERGE_ROWS`` rows is cut at splitters sampled
+    from every run at even strides into key ranges of about
+    ``_MERGE_ROWS`` rows in all.  A cut takes the first row not below its
+    splitter, so equal keys from every run land in one range.  Each run's
+    slices are copied out before the next run is cut, so the runs are
+    freed as they are redistributed; then each range is grouped and
+    written into the output in key order before the next is grouped.
     """
     total = sum(len(keys) for keys, _ in parts)
     if total > _MAX_MERGE_ROWS:
         raise MultiplicityOverflow(f"{total} rows to merge, the limit is {_MAX_MERGE_ROWS}")
-    if len(parts) == 1:  # a single block is grouped already
+    if len(parts) == 1:  # a single run is grouped already
         return parts.pop()
     if total <= _MERGE_ROWS:
         return _group(parts)
@@ -681,9 +724,68 @@ def _merge(parts):
         cuts = [0, *np.searchsorted(_rows(keys), splitters, side="left").tolist(), len(keys)]
         for piece, a, b in zip(pieces, cuts, cuts[1:]):
             piece.append((keys[a:b].copy(), mult[a:b].copy()))
-    del keys, mult  # the last block, too, before the ranges are grouped
-    out = [_group(piece) for piece in pieces]
-    return np.concatenate([keys for keys, _ in out]), np.concatenate([mult for _, mult in out])
+    del keys, mult  # the last run, too, before the ranges are grouped
+    pieces.reverse()
+    return _join(_group(pieces.pop()) for _ in range(len(pieces)))
+
+
+def _take(buckets, i: int):
+    """The runs of ``buckets[i]`` as a list that is their only holder, the
+    grouped run first; an empty run (the first bucket's before its first
+    merge) is left out when there are held slices."""
+    run, held, _ = buckets[i]
+    buckets[i] = None
+    return [run, *held] if len(run[0]) or not held else held
+
+
+def _pieces(run, size: int):
+    """A grouped run of more than ``2 * size`` rows cut at row boundaries
+    into copies of about ``size`` rows each, so that the run can be freed;
+    a shorter run as the only piece."""
+    rows = len(run[0])
+    if rows <= 2 * size:
+        return [run]
+    count = -(-rows // size)
+    cuts = [rows * j // count for j in range(count + 1)]
+    return [(run[0][a:b].copy(), run[1][a:b].copy()) for a, b in zip(cuts, cuts[1:])]
+
+
+def _fold(blocks):
+    """One level from the grouped outputs of its blocks, an iterable of
+    sorted, duplicate-free (keys, mult) runs, each folded in as it comes.
+
+    The level so far is kept in buckets, disjoint key ranges in key order,
+    each holding one grouped run and the slices of later blocks that fell
+    into its range.  A block is cut at the buckets' first keys and its
+    slices are copied out, so the block is freed at once.  A bucket whose
+    held rows outgrow its run is merged (``_merge``), and a merged run of
+    more than ``_MERGE_ROWS / 2`` rows is cut into buckets of about
+    ``_MERGE_ROWS / 4`` rows at row boundaries, so equal keys always share
+    a bucket.  So the rows held beside the runs stay below the rows in
+    them plus one block, and a merge takes about ``_MERGE_ROWS`` rows at
+    most.  Last, each bucket is merged once more, written into the output
+    in key order and freed.
+    """
+    size = max(1, _MERGE_ROWS // 4)
+    buckets = None  # [run, held slices, held rows] per key range
+    for keys, mult in blocks:
+        if buckets is None:
+            buckets = [[(keys[:0].copy(), mult[:0].copy()), [], 0]]
+            firsts = keys[:0].copy()  # the first key of every bucket but the first
+        cuts = [0, *np.searchsorted(_rows(keys), _rows(firsts)).tolist(), len(keys)]
+        for bucket, a, b in zip(buckets, cuts, cuts[1:]):
+            if a < b:
+                bucket[1].append((keys[a:b].copy(), mult[a:b].copy()))
+                bucket[2] += b - a
+        del keys, mult
+        for i in reversed(range(len(buckets))):
+            if buckets[i][2] > len(buckets[i][0][0]):
+                run = _merge(_take(buckets, i))
+                buckets[i : i + 1] = [[piece, [], 0] for piece in _pieces(run, size)]
+                del run
+        firsts = np.array([run[0][0] for run, _, _ in buckets[1:]], dtype=np.uint8)
+        firsts = firsts.reshape(-1, buckets[0][0][0].shape[1])
+    return _join(_merge(_take(buckets, i)) for i in range(len(buckets)))
 
 
 def _compare_rows(a: np.ndarray, b: np.ndarray):
@@ -773,15 +875,17 @@ def _expand_block(job):
     child[i[end_u], u[end_u]] = 0
     child[i[end_v], v[end_v]] = 0
     comp, reflected, self_comp = _orient(child)
-    canon = child
-    canon[reflected] = comp[reflected]
+    child[reflected] = comp[reflected]  # the canonical keys
+    del comp
     if dead is None:
         out = mult[row]
     out[reflected] = out[reflected][:, [2, 3, 0, 1]]
     if self_comp.any():
         out[self_comp, :2] = _add128(out[self_comp, :2], out[self_comp, 2:])
         out[self_comp, 2:] = 0
-    return _group([(canon, out)])
+    parts = [(child, out)]
+    del child, out  # so that the group frees them once they are sorted
+    return _group(parts)
 
 
 def _expand_keys(n, k, keys, mult, dead):
@@ -861,7 +965,9 @@ def expand_level(
 
 
 def _expand(cmap: ClassMap, constraint: Constraint, prune: bool, mapper) -> ClassMap:
-    """``expand_level``, running the array path's blocks through ``mapper``."""
+    """``expand_level``, running the array path's blocks through ``mapper``:
+    the builtin ``map`` expands each block when the fold asks for it,
+    ``Pool.imap`` hands the workers' blocks back in order as they finish."""
     if cmap.level < 1:
         raise ValueError(f"cannot expand a terminal map (level {cmap.level})")
     _check_built_for(cmap, constraint)
@@ -875,7 +981,10 @@ def _expand(cmap: ClassMap, constraint: Constraint, prune: bool, mapper) -> Clas
             (n, k, cmap.keys[i : i + _BLOCK_ROWS], cmap.mult[i : i + _BLOCK_ROWS], dead)
             for i in range(0, rows, _BLOCK_ROWS)
         ]
-        keys, mult = _merge(list(mapper(_expand_block, jobs)))
+        if len(jobs) == 1:  # a single block is grouped already
+            keys, mult = _expand_block(jobs[0])
+        else:
+            keys, mult = _fold(mapper(_expand_block, jobs))
     return ClassMap(n, k - 1, keys, mult, constraint)
 
 
@@ -949,7 +1058,7 @@ def count(
         while cmap.level > 0:
             t1 = time.perf_counter()
             if pool is not None and len(cmap.keys) >= _PARALLEL_MIN_ROWS:
-                cmap = _expand(cmap, constraint, prune, pool.map)
+                cmap = _expand(cmap, constraint, prune, pool.imap)
             else:
                 cmap = expand_level(cmap, constraint, prune=prune)
             stats.append(

@@ -51,7 +51,10 @@ def test_count_stats_lines(capsys):
     lines = out.splitlines()
     assert lines[-1] == "32"
     assert len(lines) == 8  # seven levels plus the count
-    assert lines[0].split() == ["level", "6", "classes", "1", "nodes", "1"]
+    assert lines[0].split() == ["level", "6", "classes", "1", "nodes", "1", "seconds", "0.000"]
+    for line in lines[1:-1]:
+        words = line.split()
+        assert words[-2] == "seconds" and float(words[-1]) >= 0
 
 
 def test_commands_start_no_worker_pool(capsys, monkeypatch):
@@ -176,9 +179,9 @@ def test_table_budget_refusal(capsys):
     assert "refused" in err
 
 
-def test_table_budget_refuses_forty_labels_in_160_mib(capsys):
-    # count(40) peaks at about 165 MiB, so this must refuse before starting.
-    code, out, err = run(capsys, "table", "--from", "40", "--to", "40", "--budget-mb", "160")
+def test_table_budget_refuses_forty_labels_in_136_mib(capsys):
+    # count(40) peaks at about 138 MiB, so this must refuse before starting.
+    code, out, err = run(capsys, "table", "--from", "40", "--to", "40", "--budget-mb", "136")
     assert code == 1
     assert out == ""
     assert err.startswith("refused:")
@@ -245,7 +248,22 @@ def test_verify_refuses_past_brute_force_guard(capsys):
 
 
 def test_stats(capsys):
-    """``count --stats`` prints the peak line of the former ``stats`` command."""
+    """``count --stats`` prints the peak line of the former ``stats`` command;
+    JSON output gives the same per-level record, each level's time included."""
     code, _, err = run(capsys, "count", "--n", "7", "--stats")
     assert code == 0 and err.strip() == "peak classes: 4"
     assert run(capsys, "stats", "--n", "7")[0] == 2
+    code, out, _ = run(capsys, "count", "--n", "7", "--format", "json")
+    levels = json.loads(out)["levels"]
+    assert code == 0 and [s["level"] for s in levels] == list(range(6, -1, -1))
+    assert levels[0]["seconds"] == 0.0
+    assert all(isinstance(s["seconds"], float) and s["seconds"] >= 0 for s in levels)
+
+
+def test_count_stats_needs_the_plain_format(capsys):
+    """``--stats`` with CSV or JSON output is a usage error naming both
+    options, not a flag dropped without a word."""
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "count", "--n", "7", "--stats", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "--stats" in err and f"--format {fmt}" in err

@@ -157,6 +157,7 @@ def test_count_result_json_schema():
         "level": 0,
         "classes": r.levels[-1].class_count,
         "nodes": str(r.levels[-1].node_sum),
+        "seconds": r.levels[-1].wall_time,
     }
     assert count_result_json(count(3))["constraint"] is None
     assert count_result_json(count(3, OneEndpoint(1)))["constraint"] == {"endpoint": 1}

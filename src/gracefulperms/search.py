@@ -664,9 +664,9 @@ def _join(runs):
 
     The pair's arrays grow in place (``ndarray.resize``) by the runs taken
     since they last grew, as soon as those hold as many rows as the arrays
-    do.  So the runs are freed as they are written, the arrays are resized
-    a logarithmic number of times, and no second copy of the whole output
-    is ever made.
+    do.  So the runs are freed as they are written and the arrays are
+    resized a logarithmic number of times, instead of every range being
+    held until all are joined into a second copy of the output.
     """
     keys = mult = None
     batch = []
@@ -687,7 +687,7 @@ def _join(runs):
             keys = np.empty((0, run[0].shape[1]), dtype=np.uint8)
             mult = np.empty((0, 4), dtype=np.uint64)
         batch.append(run)
-        del run
+        del run  # so that the batch is the run's only holder
         if sum(len(k) for k, _ in batch) >= len(keys):
             grow()
     if batch:

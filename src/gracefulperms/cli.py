@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bounds, report, search
-from .search import ComputationRefused, OneEndpoint, TwoEndpoints
+from .search import ComputationRefused, MultiplicityOverflow, OneEndpoint, TwoEndpoints
 
 
 def _positive_int(text: str) -> int:
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     except ComputationRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
-    except (report.CheckpointError, ValueError, OSError) as exc:
+    except (report.CheckpointError, MultiplicityOverflow, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

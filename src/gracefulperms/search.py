@@ -92,6 +92,11 @@ _PARALLEL_MIN_ROWS = 4096
 #: one chunk per level would add two level-sized copies.
 _ORIENT_ROWS = 1024
 
+#: Limb masks by a child's live-slot flags (bit 0 direct, bit 1 reflected):
+#: the limbs of a dead slot are cleared.
+_SLOT_MASKS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint64).repeat(2, axis=1)
+_SLOT_MASKS *= np.uint64(2**64 - 1)
+
 
 class ComputationRefused(Exception):
     """A structurally valid request was declined as too expensive."""
@@ -592,9 +597,11 @@ def _dead_tests(n: int, level: int, constraint: Constraint):
     byte of that label lies in ``low..high``: the first list for the
     direct slot, the second for the reflected slot.  Both read the key as
     it is, so they hold for any state of the level, canonical or not: the
-    second list is the first one read on the complement.  The engine
-    applies them to each child before it is oriented, and ``finalize`` and
-    the per-key loop to canonical keys.
+    second list is the first one read on the complement.  The array path
+    (``_children``) applies them to each child before its key row is
+    built: the tested bytes are the parent's bytes at the tested labels
+    with the edge's writes applied.  ``finalize`` and the per-key loop
+    apply them to canonical keys.
     """
     if constraint is None:
         return None
@@ -821,64 +828,11 @@ def _orient(keys: np.ndarray):
 
 def _expand_block(job):
     """Children of a block of parent rows: placed, pruned, canonicalised
-    and grouped, all as array operations.
-
-    Children are generated edge by edge, in ``(u, row)`` order: one
-    edge's children of parents in key order come out largely in key
-    order, which the stable group sort merges as presorted runs.  Pruning
-    reads the child's bytes at the tested labels off the parent row and
-    the edge's writes, so dead children are dropped before their rows are
-    built.
-    """
-    n, k, keys, mult, dead = job
-    m = n - k
-    ok = (keys[:, :m] != 0) & (keys[:, k:] != 0)
-    ok &= keys[:, :m] != np.arange(k + 1, n + 1, dtype=np.uint8)
-    u, row = np.nonzero(ok.T)
-    v = u + k
-    cu = keys[row, u]
-    cv = keys[row, v]
-    # An end u of a path with partner pu, or an unused label (pu = u):
-    # the edge joins pu and pv into one path, and path ends become interior.
-    # The labels written below, pu, pv and the ends among u and v, are
-    # distinct (an edge closing a path is refused above), so a child byte
-    # takes at most one of the writes.
-    end_u = cu != n + 1
-    end_v = cv != n + 1
-    pu = np.where(end_u, cu - 1, u)
-    pv = np.where(end_v, cv - 1, v)
-    if dead is not None:
-        # The child's bytes at the tested labels.  Zeros go to u and v
-        # first, so that an unused u or v (pu = u, pv = v) takes its
-        # partner's byte over the zero, as in the child built below.
-        labels = sorted({label for tests in dead for label, _, _ in tests})
-        lab = np.array(labels)
-        at = keys[row[:, None], lab]
-        at[(u[:, None] == lab) | (v[:, None] == lab)] = 0
-        np.copyto(at, pv[:, None] + 1, where=pu[:, None] == lab, casting="unsafe")
-        np.copyto(at, pu[:, None] + 1, where=pv[:, None] == lab, casting="unsafe")
-        at = dict(zip(labels, at.T))
-        # The direct count holds the child as it is; the reflected count
-        # holds its complement, which dies under dead[0] exactly when the
-        # child dies under dead[1].
-        out = mult[row]
-        out[_dead_rows(at, dead[0]), :2] = 0
-        out[_dead_rows(at, dead[1]), 2:] = 0
-        live = out.any(axis=1)
-        row, u, v, pu, pv, end_u, end_v, out = (
-            x[live] for x in (row, u, v, pu, pv, end_u, end_v, out)
-        )
-    i = np.arange(len(row))
-    child = keys[row]
-    child[i, pu] = pv + 1
-    child[i, pv] = pu + 1
-    child[i[end_u], u[end_u]] = 0
-    child[i[end_v], v[end_v]] = 0
+    and grouped, all as array operations."""
+    child, out = _children(*job)
     comp, reflected, self_comp = _orient(child)
     child[reflected] = comp[reflected]  # the canonical keys
     del comp
-    if dead is None:
-        out = mult[row]
     out[reflected] = out[reflected][:, [2, 3, 0, 1]]
     if self_comp.any():
         out[self_comp, :2] = _add128(out[self_comp, :2], out[self_comp, 2:])
@@ -886,6 +840,75 @@ def _expand_block(job):
     parts = [(child, out)]
     del child, out  # so that the group frees them once they are sorted
     return _group(parts)
+
+
+def _children(n, k, keys, mult, dead):
+    """The children of parent rows ``keys`` on placing the edge labelled
+    ``k``, as they are, with their parents' limbs: with ``dead``, each
+    slot the child dies in is cleared and children with no live slot are
+    left out.
+
+    Children are generated edge by edge, in ``(u, row)`` order: one
+    edge's children of parents in key order come out largely in key
+    order, which the stable group sort merges as presorted runs.  The key
+    bytes are read label-major, one contiguous row per label.  Pruning
+    takes each child's bytes at the tested labels from the parent's
+    tested rows and applies the edge's writes to them as byte
+    comparisons, and decides which slots live from one byte of flags per
+    child, so dead children are dropped before their key rows are built
+    or their limbs gathered.
+    """
+    m = n - k
+    rows = len(keys)
+    cols = np.ascontiguousarray(keys.T)
+    ok = (cols[:m] != 0) & (cols[k:] != 0)
+    ok &= cols[:m] != np.arange(k + 1, n + 1, dtype=np.uint8)[:, None]
+    u, row = np.nonzero(ok)
+    cu = np.take(cols, u * rows + row)
+    cv = np.take(cols, (u + k) * rows + row)
+    # An end u of a path with partner pu, or an unused label (pu = u):
+    # the edge joins pu and pv into one path, and path ends become interior.
+    # pu, pv and the ends among u and v are distinct labels (an edge
+    # closing a path is refused above).  So the child is written with
+    # zeros at u and v first, then pv + 1 at pu and pu + 1 at pv, which
+    # puts an unused u or v's new byte over its zero.
+    pu = np.where(cu != n + 1, cu - 1, u)
+    pv = np.where(cv != n + 1, cv - 1, u + k)
+    if dead is not None:
+        # The child's bytes at the tested labels, one row per label.
+        labels = sorted({label for tests in dead for label, _, _ in tests})
+        lab = np.array(labels, dtype=np.uint8)[:, None]
+        at = np.take(cols[labels], row, axis=1)
+        u8, v8, pu8, pv8 = (x.astype(np.uint8) for x in (u, u + k, pu, pv))
+        at[(lab == u8) | (lab == v8)] = 0
+        np.copyto(at, pv8 + np.uint8(1), where=lab == pu8)
+        np.copyto(at, pu8 + np.uint8(1), where=lab == pv8)
+        at = dict(zip(labels, at))
+        # Bit 0 of a child's flags is its direct slot, bit 1 its reflected
+        # slot; a slot lives when the parent's slot holds nodes and the
+        # child does not die in it.  The direct count holds the child as it
+        # is; the reflected count holds its complement, which dies under
+        # dead[0] exactly when the child dies under dead[1].
+        held = ((mult[:, 0] | mult[:, 1]) != 0).view(np.uint8)
+        held |= ((mult[:, 2] | mult[:, 3]) != 0).view(np.uint8) << 1
+        live = np.take(held, row)
+        kill = _dead_rows(at, dead[1]).view(np.uint8) << 1
+        kill |= _dead_rows(at, dead[0]).view(np.uint8)
+        live &= ~kill
+        keep = np.flatnonzero(live)
+        row, u, pu, pv, live = (x[keep] for x in (row, u, pu, pv, live))
+        out = np.take(mult, row, axis=0)
+        out &= np.take(_SLOT_MASKS, live, axis=0)
+    else:
+        out = np.take(mult, row, axis=0)
+    first = np.arange(len(row)) * n  # each child's first byte in the flat rows
+    child = np.take(keys, row, axis=0)
+    flat = child.reshape(-1)
+    flat[first + u] = 0
+    flat[first + u + k] = 0
+    flat[first + pu] = pv + 1
+    flat[first + pv] = pu + 1
+    return child, out
 
 
 def _expand_keys(n, k, keys, mult, dead):

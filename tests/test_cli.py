@@ -133,6 +133,23 @@ def test_resume_falls_back_past_a_damaged_deepest_checkpoint(capsys, tmp_path):
     assert "starting fresh" not in err
 
 
+def test_resume_reports_a_multiplicity_overflow(capsys, tmp_path):
+    """A checkpoint can pass every load check and still hold
+    multiplicities near 2**128; the resumed count that overflows on them
+    ends with an error line and exit status 1, not a traceback."""
+    levels = {}
+    search.count(12, on_level=lambda cmap: levels.setdefault(cmap.level, cmap))
+    cmap = levels[6]
+    cmap.mult[:, :2] = 2**64 - 1  # every direct slot at 2**128 - 1
+    report.save_checkpoint(cmap, tmp_path / report.checkpoint_filename(12, None, 6))
+    code, out, err = run(capsys, "count", "--n", "12", "--checkpoint-dir", str(tmp_path),
+                         "--resume")
+    assert code == 1 and out == ""
+    assert "(level 6)" in err
+    assert err.splitlines()[-1].startswith("error: multiplicity ")
+    assert "does not fit in 128 bits" in err
+
+
 def test_count_resume_requires_dir(capsys):
     code, _, err = run(capsys, "count", "--n", "7", "--resume")
     assert code == 2

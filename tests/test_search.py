@@ -435,6 +435,42 @@ def test_orient_chunks_match_the_table_lookup(n, c):
             assert self_comp.tolist() == want_self
 
 
+@st.composite
+def _near_self_complementary_keys(draw):
+    """Key rows on n = 16-24 or 33-48 labels that equal their complement,
+    some with one byte then redrawn: below 33 labels a key that ties with
+    its complement on its first 16 bytes is self-complementary, and past
+    32 a redrawn middle byte leaves a tie of 16 bytes or more."""
+    n = draw(st.integers(16, 24) | st.integers(33, 48))
+    table = search._byte_tables(n)[0]
+    byte = st.integers(0, n + 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        half = draw(st.lists(byte, min_size=n // 2, max_size=n // 2))
+        # an odd key's middle byte is one that is its own complement
+        middle = [draw(st.sampled_from([0, n + 1, (n + 1) // 2]))] if n % 2 else []
+        key = half + middle + [table[b] for b in half[::-1]]
+        if draw(st.booleans()):
+            key[draw(st.integers(0, n - 1))] = draw(byte)
+        rows.append(key)
+    return np.array(rows, dtype=np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_self_complementary_keys())
+def test_orient_decides_keys_that_share_a_long_prefix_with_their_complement(keys):
+    """The children of a bound run nearly all differ from their complement
+    within their first 16 bytes, so random states hardly reach a long
+    common prefix; these keys do, and the flags still equal the full-row
+    comparison."""
+    comp, reflected, self_comp = search._orient(keys)
+    want_comp, want_reflected, want_self = _table_orient(keys)
+    assert np.array_equal(comp, want_comp)
+    below, equal = search._compare_rows(want_comp, keys)
+    assert reflected.tolist() == below.tolist() == want_reflected
+    assert self_comp.tolist() == equal.tolist() == want_self
+
+
 def _limb_rows(values):
     return np.array(
         [[x & (2**64 - 1), x >> 64] for x in values], dtype=np.uint64
@@ -733,6 +769,59 @@ def test_engine_matches_dfs_with_small_blocks(case, prune, block_rows, array_min
         got = count(n, c, prune=prune, on_level=levels.append)
     assert got.count == base.count == dfs_count(n, c, prune=not prune)
     _assert_same_levels(levels, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.none()
+            | st.builds(OneEndpoint, st.integers(0, n - 1))
+            | st.builds(TwoEndpoints, st.integers(0, n - 1), st.integers(0, n - 1)),
+        )
+    ),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_pruning_equals_the_dead_tests_on_the_built_keys(case, block_rows, seed):
+    """Pruned expansion through the array path equals unpruned expansion
+    followed by the rule applied to the canonical keys: each slot that
+    ``_dead_rows`` kills there cleared (the direct slot under ``dead[0]``,
+    the reflected one under ``dead[1]``), then rows with no limb set
+    dropped.  The parents are every level of an unpruned run and of a run
+    built for None, so they hold slots that are already dead, and copies of
+    those levels with one slot of some rows cleared, whose children live
+    only in the other slot."""
+    n, c = case
+    levels = [root_map(n)]
+    count(n, c, prune=False, on_level=levels.append)
+    count(n, None, on_level=levels.append)
+    rng = np.random.default_rng(seed)
+    parents = list(levels)
+    for level in levels:
+        mult = level.mult.copy()
+        slot = rng.integers(0, 3, size=len(mult))  # 2 clears neither slot
+        for s in (0, 1):
+            other = mult[:, 2 - 2 * s : 4 - 2 * s]
+            clear = (slot == s) & other.any(axis=1)
+            mult[clear, 2 * s : 2 * s + 2] = 0
+        parents.append(ClassMap(n, level.level, level.keys, mult, level.constraint))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_ARRAY_MIN_ROWS", 0)
+        mp.setattr(search, "_BLOCK_ROWS", block_rows)
+        for parent in parents:
+            if parent.level == 0:
+                continue
+            got = expand_level(parent, c, prune=True)
+            full = expand_level(parent, c, prune=False)
+            mult = full.mult.copy()
+            dead = search._dead_tests(n, parent.level - 1, c)
+            for s, tests in enumerate(dead or ()):
+                mult[search._dead_rows(full.keys.T, tests), 2 * s : 2 * s + 2] = 0
+            live = mult.any(axis=1)
+            assert np.array_equal(got.keys, full.keys[live])
+            assert np.array_equal(got.mult, mult[live])
 
 
 def test_worker_pool_gives_the_single_worker_levels(monkeypatch):

@@ -168,7 +168,16 @@ def read_checkpoint_header(path: Union[str, Path]) -> CheckpointHeader:
     version, n, tag, la, lb, level, records = _HEADER.unpack(head[len(MAGIC) :])
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    return CheckpointHeader(n, _constraint_from_tag(tag, la, lb), level, records)
+    if not 1 <= n <= state.MAX_LABELS:
+        raise CheckpointError(f"{path}: label count {n} out of range 1..{state.MAX_LABELS}")
+    if not 0 <= level < n:
+        raise CheckpointError(f"{path}: level {level} out of range 0..{n - 1}")
+    constraint = _constraint_from_tag(tag, la, lb)
+    try:
+        search._check_constraint(n, constraint)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return CheckpointHeader(n, constraint, level, records)
 
 
 #: The record checks of ``load_checkpoint``, in the order they are applied;
@@ -279,8 +288,6 @@ def _read_records(fh, path, header: CheckpointHeader, record: int) -> ClassMap:
         )
         return CheckpointError(f"{path}: {message}")
 
-    if rows and not 1 <= n <= state.MAX_LABELS:
-        raise fail(0, 0, fh.read(width))
     keys = np.empty((rows, n), dtype=np.uint8)
     mult = np.empty((rows, 4), dtype="<u8")
     for start in range(0, rows, search._BLOCK_ROWS):

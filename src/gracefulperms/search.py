@@ -76,10 +76,10 @@ _ARRAY_MIN_ROWS = 16
 #: into the level as soon as the block is done (``_fold``).
 _BLOCK_ROWS = 4096
 
-#: Grouped rows that a merge sorts at a time: a level being folded is kept
-#: in key ranges of _MERGE_ROWS / 4 to _MERGE_ROWS / 2 rows, and a merge
-#: of more rows is cut into key ranges of about this many rows, which
-#: bounds the merge's sort and sum transient.
+#: About the most grouped rows that one merge takes: a level being folded
+#: is kept in key ranges of at most _MERGE_ROWS / 2 rows, and a merge of
+#: more rows is cut into key ranges of about _MERGE_ROWS / 4 rows, each
+#: grouped alone, which bounds the merge's sort and sum transient.
 _MERGE_ROWS = 2**15
 
 #: Most rows one merge may take; the 32-bit digit sums of a group of more
@@ -155,6 +155,8 @@ class ClassMap:
     constraint: Constraint = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.level < self.n:
+            raise ValueError(f"level {self.level} out of range 0..{self.n - 1}")
         rows = len(self.keys)
         if self.keys.dtype != np.uint8 or self.keys.shape != (rows, self.n):
             raise ValueError(f"keys must be a (rows, {self.n}) uint8 array")
@@ -704,27 +706,26 @@ def _join(runs):
     return keys, mult
 
 
-def _merge(parts):
-    """One grouped run from a list of sorted, duplicate-free (keys, mult)
-    runs, which is emptied.
+def _merge(parts, size: int):
+    """Grouped runs of about ``size`` rows each, in key order, from a list
+    of sorted, duplicate-free (keys, mult) runs, which is emptied.
 
-    A merge of more than ``_MERGE_ROWS`` rows is cut at splitters sampled
-    from every run at even strides into key ranges of about
-    ``_MERGE_ROWS`` rows in all.  A cut takes the first row not below its
-    splitter, so equal keys from every run land in one range.  Each run's
-    slices are copied out before the next run is cut, so the runs are
-    freed as they are redistributed; then each range is grouped and
-    written into the output in key order before the next is grouped.
+    At most ``2 * size`` rows make one run: the single input run as it is,
+    or the group of them all.  More rows are cut at splitters sampled from
+    every run at even strides into key ranges of about ``size`` rows.  A
+    cut takes the first row not below its splitter, so equal keys from
+    every run land in one range.  Each run's slices are copied out before
+    the next run is cut, so the runs are freed as they are redistributed.
+    Ranges that repeated splitters leave empty are dropped, and a range
+    holding one slice is grouped already.
     """
     total = sum(len(keys) for keys, _ in parts)
     if total > _MAX_MERGE_ROWS:
         raise MultiplicityOverflow(f"{total} rows to merge, the limit is {_MAX_MERGE_ROWS}")
-    if len(parts) == 1:  # a single run is grouped already
-        return parts.pop()
-    if total <= _MERGE_ROWS:
-        return _group(parts)
-    ranges = -(-total // _MERGE_ROWS)
-    step = max(1, _MERGE_ROWS // 16)  # about 16 samples per range
+    if total <= 2 * size:
+        return [parts.pop() if len(parts) == 1 else _group(parts)]
+    ranges = -(-total // size)
+    step = max(1, size // 16)  # about 16 samples per range
     samples = np.sort(np.concatenate([_rows(keys)[::step] for keys, _ in parts]))
     splitters = samples[np.arange(1, ranges) * len(samples) // ranges]
     pieces = [[] for _ in range(ranges)]
@@ -732,31 +733,18 @@ def _merge(parts):
         keys, mult = parts.pop()
         cuts = [0, *np.searchsorted(_rows(keys), splitters, side="left").tolist(), len(keys)]
         for piece, a, b in zip(pieces, cuts, cuts[1:]):
-            piece.append((keys[a:b].copy(), mult[a:b].copy()))
+            if a < b:
+                piece.append((keys[a:b].copy(), mult[a:b].copy()))
     del keys, mult  # the last run, too, before the ranges are grouped
-    pieces.reverse()
-    return _join(_group(pieces.pop()) for _ in range(len(pieces)))
+    return [piece.pop() if len(piece) == 1 else _group(piece) for piece in pieces if piece]
 
 
 def _take(buckets, i: int):
     """The runs of ``buckets[i]`` as a list that is their only holder, the
-    grouped run first; an empty run (the first bucket's before its first
-    merge) is left out when there are held slices."""
+    grouped run first."""
     run, held, _ = buckets[i]
     buckets[i] = None
-    return [run, *held] if len(run[0]) or not held else held
-
-
-def _pieces(run, size: int):
-    """A grouped run of more than ``2 * size`` rows cut at row boundaries
-    into copies of about ``size`` rows each, so that the run can be freed;
-    a shorter run as the only piece."""
-    rows = len(run[0])
-    if rows <= 2 * size:
-        return [run]
-    count = -(-rows // size)
-    cuts = [rows * j // count for j in range(count + 1)]
-    return [(run[0][a:b].copy(), run[1][a:b].copy()) for a, b in zip(cuts, cuts[1:])]
+    return [run, *held]
 
 
 def _fold(blocks):
@@ -765,36 +753,35 @@ def _fold(blocks):
 
     The level so far is kept in buckets, disjoint key ranges in key order,
     each holding one grouped run and the slices of later blocks that fell
-    into its range.  A block is cut at the buckets' first keys and its
-    slices are copied out, so the block is freed at once.  A bucket whose
-    held rows outgrow its run is merged (``_merge``), and a merged run of
-    more than ``_MERGE_ROWS / 2`` rows is cut into buckets of about
-    ``_MERGE_ROWS / 4`` rows at row boundaries, so equal keys always share
-    a bucket.  So the rows held beside the runs stay below the rows in
-    them plus one block, and a merge takes about ``_MERGE_ROWS`` rows at
-    most.  Last, each bucket is merged once more, written into the output
-    in key order and freed.
+    into its range; the first block's runs seed them.  A block is cut at
+    the buckets' first keys and its slices are copied out, so the block is
+    freed at once.  A bucket whose held rows outgrow its run is merged
+    (``_merge``), and the merge's runs, of about ``_MERGE_ROWS / 4`` rows
+    each, replace it as buckets, so equal keys always share a bucket.  So
+    the rows held beside the runs stay below the rows in them plus one
+    block, and a merge takes about ``_MERGE_ROWS`` rows at most.  Last,
+    each bucket is merged once more, written into the output in key order
+    and freed.
     """
     size = max(1, _MERGE_ROWS // 4)
     buckets = None  # [run, held slices, held rows] per key range
     for keys, mult in blocks:
         if buckets is None:
-            buckets = [[(keys[:0].copy(), mult[:0].copy()), [], 0]]
-            firsts = keys[:0].copy()  # the first key of every bucket but the first
-        cuts = [0, *np.searchsorted(_rows(keys), _rows(firsts)).tolist(), len(keys)]
-        for bucket, a, b in zip(buckets, cuts, cuts[1:]):
-            if a < b:
-                bucket[1].append((keys[a:b].copy(), mult[a:b].copy()))
-                bucket[2] += b - a
+            buckets = [[run, [], 0] for run in _merge([(keys, mult)], size)]
+        else:
+            # The first key of every bucket but the first.
+            firsts = np.array([run[0][0] for run, _, _ in buckets[1:]], dtype=np.uint8)
+            firsts = firsts.reshape(-1, keys.shape[1])
+            cuts = [0, *np.searchsorted(_rows(keys), _rows(firsts)).tolist(), len(keys)]
+            for bucket, a, b in zip(buckets, cuts, cuts[1:]):
+                if a < b:
+                    bucket[1].append((keys[a:b].copy(), mult[a:b].copy()))
+                    bucket[2] += b - a
         del keys, mult
         for i in reversed(range(len(buckets))):
             if buckets[i][2] > len(buckets[i][0][0]):
-                run = _merge(_take(buckets, i))
-                buckets[i : i + 1] = [[piece, [], 0] for piece in _pieces(run, size)]
-                del run
-        firsts = np.array([run[0][0] for run, _, _ in buckets[1:]], dtype=np.uint8)
-        firsts = firsts.reshape(-1, buckets[0][0][0].shape[1])
-    return _join(_merge(_take(buckets, i)) for i in range(len(buckets)))
+                buckets[i : i + 1] = [[run, [], 0] for run in _merge(_take(buckets, i), size)]
+    return _join(run for i in range(len(buckets)) for run in _merge(_take(buckets, i), size))
 
 
 def _compare_rows(a: np.ndarray, b: np.ndarray):

@@ -651,8 +651,34 @@ def test_checkpoint_refuses_label_counts_out_of_range(tmp_path, n):
     blob = b"GRACEFL1" + struct.pack("<HHBBBHQ", 1, n, 0, 0, 0, max(n - 1, 0), 1)
     path = tmp_path / "n.ckpt"
     path.write_bytes(blob + key + (1).to_bytes(16, "little") + bytes(16))
-    with pytest.raises(CheckpointError, match="record 0 violates state invariants"):
+    with pytest.raises(CheckpointError, match=f"label count {n} out of range 1..254"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "n,tag,a,b,level,message",
+    [
+        (8, 2, 1, 5, 300, "level 300 out of range 0..7"),
+        (8, 2, 1, 5, 8, "level 8 out of range 0..7"),
+        (8, 2, 1, 8, 3, "endpoint label 8 out of range 0..7"),
+        (8, 1, 9, 0, 3, "endpoint label 9 out of range 0..7"),
+        (0, 0, 0, 0, 0, "label count 0 out of range"),
+    ],
+)
+def test_empty_checkpoints_with_a_bad_header_are_refused(tmp_path, n, tag, a, b, level, message):
+    """A header names its level and endpoints within its n even when the
+    file holds no record: such a file is neither loaded nor offered for a
+    resume, where a level past n would run through empty levels to a count
+    of 0 (G(8;1,5) is 1)."""
+    good = tmp_path / "good.ckpt"
+    good.write_bytes(b"GRACEFL1" + struct.pack("<HHBBBHQ", 1, 8, 2, 1, 5, 7, 0))
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"GRACEFL1" + struct.pack("<HHBBBHQ", 1, n, tag, a, b, level, 0))
+    with pytest.raises(CheckpointError, match=message):
+        read_checkpoint_header(path)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    assert report.resume_candidates(tmp_path, 8, TwoEndpoints(1, 5)) == [good]
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,16 @@ def test_maps_refuse_arrays_of_another_layout():
         ClassMap(5, 4, m.keys, m.mult.astype(np.int64))
 
 
+@pytest.mark.parametrize("level", [-1, 5, 300])
+def test_maps_refuse_a_level_outside_their_labels(level):
+    """A map's level is the label of its next edge, 0..n-1: a map on a
+    level past n, which would be expanded through empty levels to a count
+    of 0, cannot be built, so ``count`` cannot resume from one."""
+    m = root_map(5)
+    with pytest.raises(ValueError, match=f"level {level} out of range 0..4"):
+        ClassMap(5, level, m.keys[:0], m.mult[:0])
+
+
 def test_expand_after_first_edge_folds_complement_children():
     """The state with the single maximal edge placed expands to two
     children that are complements of each other, so they fold into one
@@ -265,23 +275,28 @@ def _grouped_blocks(draw_keys, n):
 def test_merge_matches_one_global_group(draw_keys, merge_rows):
     """Merging grouped blocks range by range, and folding them into a
     level one block at a time, each give what one global sort and sum of
-    all their rows gives, bit for bit, carries included."""
+    all their rows gives, bit for bit, carries included: the merge as its
+    runs joined in order, none of them empty unless it is the only one."""
     expected = search._group(_grouped_blocks(draw_keys, 3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_MERGE_ROWS", merge_rows)
-        merged = search._merge(_grouped_blocks(draw_keys, 3))
+        runs = search._merge(_grouped_blocks(draw_keys, 3), max(1, merge_rows // 4))
         folded = search._fold(iter(_grouped_blocks(draw_keys, 3)))
+    assert len(runs) == 1 or all(len(keys) for keys, _ in runs)
+    merged = tuple(np.concatenate(arrays) for arrays in zip(*runs))
     for keys, mult in (merged, folded):
         assert np.array_equal(keys, expected[0]) and np.array_equal(mult, expected[1])
 
 
 def test_merge_ranges_split_at_repeated_splitters(monkeypatch):
     """Blocks that share keys give repeated splitters: the ranges between
-    equal splitters come out empty, and every key is summed in one range."""
-    keys = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [2, 2, 2]]
-    blocks = [keys, keys[1:], keys[:2] + keys[3:]]
+    equal splitters are dropped, every key is summed in one range, and a
+    range that holds one slice of a grouped block is not grouped again."""
+    keys = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1], [2, 2, 2]]
+    blocks = [keys[:3] + keys[4:], keys[1:3] + keys[4:], keys[:2] + keys[3:]]
     expected = search._group(_grouped_blocks(blocks, 3))
     parts = _grouped_blocks(blocks, 3)
+    one_slice = parts[2][0][2:3].copy(), parts[2][1][2:3].copy()  # the key 1, 1, 1
     sizes = []
     real_group = search._group
 
@@ -289,13 +304,15 @@ def test_merge_ranges_split_at_repeated_splitters(monkeypatch):
         sizes.append(sum(len(k) for k, _ in parts))
         return real_group(parts)
 
-    monkeypatch.setattr(search, "_MERGE_ROWS", 1)
     monkeypatch.setattr(search, "_group", spy)
-    merged_keys, mult = search._merge(parts)
+    runs = search._merge(parts, 1)
     assert parts == []
-    assert sizes == [0, 2, 0, 0, 3, 0, 2, 0, 0, 3]
-    assert merged_keys.tolist() == keys
-    assert np.array_equal(merged_keys, expected[0]) and np.array_equal(mult, expected[1])
+    # Eleven ranges, six of them empty; the one slice of 1, 1, 1 is kept as it is.
+    assert sizes == [2, 3, 2, 3]
+    assert [k.tolist() for k, _ in runs] == [[key] for key in keys]
+    assert np.array_equal(runs[3][0], one_slice[0]) and np.array_equal(runs[3][1], one_slice[1])
+    assert np.array_equal(np.concatenate([k for k, _ in runs]), expected[0])
+    assert np.array_equal(np.concatenate([m for _, m in runs]), expected[1])
 
 
 def test_merge_refuses_a_level_past_the_row_limit(monkeypatch):
@@ -310,9 +327,9 @@ def test_merge_refuses_a_level_past_the_row_limit(monkeypatch):
     totals = []
     real_merge = search._merge
 
-    def spy(parts):
+    def spy(parts, size):
         totals.append(sum(len(k) for k, _ in parts))
-        return real_merge(parts)
+        return real_merge(parts, size)
 
     monkeypatch.setattr(search, "_merge", spy)
     child = expand_level(m)
@@ -336,9 +353,9 @@ def test_widest_expansion_holds_little_beside_its_child(monkeypatch):
     """Blocks are folded into the level as they come, so the widest
     expansion of count(30) peaks, traced, at no more than its parent plus
     twice its child (1.7 times measured; 3.0 when every block's output was
-    held until one merge at the end).  Blocks of 512 rows and merges of
-    2,048 make the level many blocks and many merge ranges wide, as the
-    default sizes do at larger n."""
+    held until one merge at the end).  Blocks of 512 rows and key ranges
+    of about 512 rows (``_MERGE_ROWS`` 2,048) make the level many blocks
+    and many buckets wide, as the default sizes do at larger n."""
     monkeypatch.setattr(search, "_BLOCK_ROWS", 512)
     monkeypatch.setattr(search, "_MERGE_ROWS", 2048)
     levels = _all_levels(30, None, True)

@@ -16,24 +16,20 @@ from . import bounds, report, search
 from .search import ComputationRefused, MultiplicityOverflow, OneEndpoint, TwoEndpoints
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``, 0 or 1."""
+    kind = ("non-negative", "positive")[low]
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+    return parse
 
 
 def _decimal_arg(text: str) -> str:
@@ -50,7 +46,7 @@ def _decimal_arg(text: str) -> str:
 
 def _add_endpoint_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--endpoint", type=_nonneg_int, metavar="A",
+    group.add_argument("--endpoint", type=_int_at_least(0), metavar="A",
                        help="count only permutations starting at label A")
     group.add_argument("--endpoints", metavar="A,B",
                        help="count only permutations starting at A and ending at B")
@@ -229,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count graceful permutations")
-    p.add_argument("--n", type=_positive_int, required=True, help="number of labels")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of labels")
     _add_endpoint_flags(p)
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--stats", action="store_true",
@@ -242,41 +238,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("table", help="G(n) table over a range")
-    p.add_argument("--from", dest="from_n", type=_positive_int, required=True)
-    p.add_argument("--to", dest="to_n", type=_positive_int, required=True)
+    p.add_argument("--from", dest="from_n", type=_int_at_least(1), required=True)
+    p.add_argument("--to", dest="to_n", type=_int_at_least(1), required=True)
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--budget-mb", type=_positive_int, default=report.DEFAULT_BUDGET_MB,
+    p.add_argument("--budget-mb", type=_int_at_least(1), default=report.DEFAULT_BUDGET_MB,
                    help="refuse table entries estimated to exceed this memory budget")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("ratios", help="growth ratios G(n+1)/G(n)")
-    p.add_argument("--from", dest="from_n", type=_positive_int, required=True)
-    p.add_argument("--to", dest="to_n", type=_positive_int, required=True)
+    p.add_argument("--from", dest="from_n", type=_int_at_least(1), required=True)
+    p.add_argument("--to", dest="to_n", type=_int_at_least(1), required=True)
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("enumerate", help="list graceful permutations")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     _add_endpoint_flags(p)
-    p.add_argument("--limit", type=_nonneg_int, default=None,
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
                    help="stop after this many permutations")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("bound", help="gamma growth base from a constrained count")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--j", type=_nonneg_int, required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
+    p.add_argument("--j", type=_int_at_least(0), required=True)
     p.add_argument("--threshold", type=_decimal_arg, default=None, metavar="X.YY",
                    help="certify that gamma strictly exceeds this decimal")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("witness", help="build a long graceful permutation by gluing")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--j", type=_nonneg_int, required=True)
-    p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--iterations", type=_positive_int, default=1)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
+    p.add_argument("--j", type=_int_at_least(0), required=True)
+    p.add_argument("--r", type=_int_at_least(1), required=True)
+    p.add_argument("--iterations", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("verify", help="cross-check all three counting routes")
-    p.add_argument("--max-n", dest="max_n", type=_positive_int, required=True)
+    p.add_argument("--max-n", dest="max_n", type=_int_at_least(1), required=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -111,10 +111,10 @@ def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constrai
     survives a power loss.  On failure the temporary file is removed; an
     ``OSError`` is raised as ``CheckpointError``.
     """
-    if cmap.constraint is not None and cmap.constraint != constraint:
-        raise CheckpointError(
-            f"map was built for {cmap.constraint!r}, cannot be saved as {constraint!r}"
-        )
+    try:
+        search._check_built_for(cmap, constraint)
+    except ValueError as e:
+        raise CheckpointError(str(e)) from None
     n, rows = cmap.n, len(cmap.keys)
     # Each record: the two-byte key, then the limbs as they are held,
     # d lo, d hi, r lo, r hi, each a little-endian 64-bit word.

@@ -28,6 +28,7 @@ little-endian uint64 limbs, low first.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import time
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -85,9 +86,6 @@ _MERGE_ROWS = 2**15
 #: Most rows one merge may take; the 32-bit digit sums of a group of more
 #: rows could wrap.
 _MAX_MERGE_ROWS = 2**32 - 1
-
-#: Levels smaller than this are never worth farming out to worker processes.
-_PARALLEL_MIN_ROWS = 4096
 
 #: Key rows that ``_orient`` translates at a time.  Its two temporary byte
 #: strings are this size: chunks of 4,096 rows already raised peak RSS, and
@@ -280,6 +278,10 @@ def _check_constraint(n: int, constraint: Constraint) -> None:
     else:
         raise TypeError(f"not a constraint: {constraint!r}")
     for a in labels:
+        try:
+            operator.index(a)
+        except TypeError:
+            raise TypeError(f"endpoint label {a!r} is not an integer") from None
         if not 0 <= a < n:
             raise ValueError(f"endpoint label {a} out of range 0..{n - 1}")
 
@@ -532,19 +534,6 @@ def _limb_sum(limbs: np.ndarray) -> int:
     return sum(x << (32 * (j % 4)) for j, x in enumerate(digits.tolist()))
 
 
-def _add128(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise sum of two ``(rows, 2)`` arrays of 128-bit limbs."""
-    lo = a[:, 0] + b[:, 0]
-    carry = lo < a[:, 0]
-    hi = a[:, 1] + b[:, 1]
-    over = hi < a[:, 1]
-    hi += carry
-    over |= hi < carry
-    if over.any():
-        raise MultiplicityOverflow("a class multiplicity reached 2**128")
-    return np.stack([lo, hi], axis=1)
-
-
 def _sum_groups(mult: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Exact sums of the ``(rows, 4)`` limb rows in the groups beginning at
     ``starts``.
@@ -739,49 +728,41 @@ def _merge(parts, size: int):
     return [piece.pop() if len(piece) == 1 else _group(piece) for piece in pieces if piece]
 
 
-def _take(buckets, i: int):
-    """The runs of ``buckets[i]`` as a list that is their only holder, the
-    grouped run first."""
-    run, held, _ = buckets[i]
-    buckets[i] = None
-    return [run, *held]
-
-
 def _fold(blocks):
     """One level from the grouped outputs of its blocks, an iterable of
     sorted, duplicate-free (keys, mult) runs, each folded in as it comes.
 
     The level so far is kept in buckets, disjoint key ranges in key order,
-    each holding one grouped run and the slices of later blocks that fell
-    into its range; the first block's runs seed them.  A block is cut at
-    the buckets' first keys and its slices are copied out, so the block is
-    freed at once.  A bucket whose held rows outgrow its run is merged
-    (``_merge``), and the merge's runs, of about ``_MERGE_ROWS / 4`` rows
-    each, replace it as buckets, so equal keys always share a bucket.  So
-    the rows held beside the runs stay below the rows in them plus one
-    block, and a merge takes about ``_MERGE_ROWS`` rows at most.  Last,
-    each bucket is merged once more, written into the output in key order
-    and freed.
+    each a list of runs: one grouped run, then the slices of later blocks
+    that fell into its range; the first block's runs seed them.  A block
+    is cut at the buckets' first keys and its slices are copied out, so
+    the block is freed at once.  A bucket whose held rows outgrow its run
+    is merged (``_merge``, which empties the list, so the bucket's arrays
+    are freed as the merge goes), and the merge's runs, of about
+    ``_MERGE_ROWS / 4`` rows each, replace it as buckets, so equal keys
+    always share a bucket.  So the rows held beside the runs stay below
+    the rows in them plus one block, and a merge takes about
+    ``_MERGE_ROWS`` rows at most.  Last, each bucket is merged once more,
+    written into the output in key order and freed.
     """
     size = max(1, _MERGE_ROWS // 4)
-    buckets = None  # [run, held slices, held rows] per key range
+    buckets = None
     for keys, mult in blocks:
         if buckets is None:
-            buckets = [[run, [], 0] for run in _merge([(keys, mult)], size)]
+            buckets = [[run] for run in _merge([(keys, mult)], size)]
         else:
             # The first key of every bucket but the first.
-            firsts = np.array([run[0][0] for run, _, _ in buckets[1:]], dtype=np.uint8)
+            firsts = np.array([bucket[0][0][0] for bucket in buckets[1:]], dtype=np.uint8)
             firsts = firsts.reshape(-1, keys.shape[1])
             cuts = [0, *np.searchsorted(_rows(keys), _rows(firsts)).tolist(), len(keys)]
-            for bucket, a, b in zip(buckets, cuts, cuts[1:]):
+            for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
                 if a < b:
-                    bucket[1].append((keys[a:b].copy(), mult[a:b].copy()))
-                    bucket[2] += b - a
+                    buckets[i].append((keys[a:b].copy(), mult[a:b].copy()))
         del keys, mult
         for i in reversed(range(len(buckets))):
-            if buckets[i][2] > len(buckets[i][0][0]):
-                buckets[i : i + 1] = [[run, [], 0] for run in _merge(_take(buckets, i), size)]
-    return _join(run for i in range(len(buckets)) for run in _merge(_take(buckets, i), size))
+            if sum(len(k) for k, _ in buckets[i]) > 2 * len(buckets[i][0][0]):
+                buckets[i : i + 1] = [[run] for run in _merge(buckets[i], size)]
+    return _join(run for bucket in buckets for run in _merge(bucket, size))
 
 
 def _compare_rows(a: np.ndarray, b: np.ndarray):
@@ -824,8 +805,11 @@ def _expand_block(job):
     del comp
     out[reflected] = out[reflected][:, [2, 3, 0, 1]]
     if self_comp.any():
-        out[self_comp, :2] = _add128(out[self_comp, :2], out[self_comp, 2:])
-        out[self_comp, 2:] = 0
+        # A self-complementary child's two counts, as a group of two rows
+        # of direct limbs, sum into its direct slot.
+        pairs = np.zeros((np.count_nonzero(self_comp), 2, 4), dtype=np.uint64)
+        pairs[:, :, :2] = out[self_comp].reshape(-1, 2, 2)
+        out[self_comp] = _sum_groups(pairs.reshape(-1, 4), np.arange(0, 2 * len(pairs), 2))
     parts = [(child, out)]
     del child, out  # so that the group frees them once they are sorted
     return _group(parts)
@@ -1030,9 +1014,10 @@ def count(
 ) -> CountResult:
     """Exact count of graceful permutations satisfying the constraint.
 
-    ``workers`` > 1 expands the blocks of large levels in processes;
-    results are bit-identical to the single-worker run because the
-    per-class merge is exact and independent of the blocks.  ``initial``
+    ``workers`` > 1 expands the blocks of levels of more than one block
+    (``_BLOCK_ROWS`` rows) in processes; results are bit-identical to the
+    single-worker run because the per-class merge is exact and
+    independent of the blocks.  ``initial``
     resumes from a previously saved map built for the same constraint; it
     is released after its expansion, so a map the caller passes without
     keeping a reference is freed before the first ``on_level`` call.
@@ -1069,7 +1054,7 @@ def count(
             pool = multiprocessing.get_context("fork").Pool(workers)
         while cmap.level > 0:
             t1 = time.perf_counter()
-            if pool is not None and len(cmap.keys) >= _PARALLEL_MIN_ROWS:
+            if pool is not None:
                 cmap = _expand(cmap, constraint, prune, pool.imap)
             else:
                 cmap = expand_level(cmap, constraint, prune=prune)

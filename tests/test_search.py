@@ -315,6 +315,36 @@ def test_merge_ranges_split_at_repeated_splitters(monkeypatch):
     assert np.array_equal(np.concatenate([m for _, m in runs]), expected[1])
 
 
+def test_each_merge_of_a_fold_frees_its_inputs(monkeypatch):
+    """Once a merge of the fold returns, no array it was given is alive
+    unless a returned run holds it: neither the bucket it emptied nor a
+    stale name in the fold keeps one.  The first block's seed merge is
+    left out, since the block's caller may still hold it."""
+    monkeypatch.setattr(search, "_MERGE_ROWS", 64)
+    rng = np.random.default_rng(7)
+    draw_keys = [rng.integers(0, 8, size=(60, 4)).tolist() for _ in range(12)]
+    leaks = []
+    real_merge = search._merge
+
+    def spy(parts, size):
+        refs = [weakref.ref(array) for run in parts for array in run]
+        runs = real_merge(parts, size)
+        kept = {id(array) for run in runs for array in run}
+        leaks.append(sum(ref() is not None and id(ref()) not in kept for ref in refs))
+        return runs
+
+    monkeypatch.setattr(search, "_merge", spy)
+
+    def blocks():
+        for keys in draw_keys:
+            yield from _grouped_blocks([keys], 4)
+
+    keys, mult = search._fold(blocks())
+    expected = search._group(_grouped_blocks(draw_keys, 4))
+    assert np.array_equal(keys, expected[0]) and np.array_equal(mult, expected[1])
+    assert len(leaks) > 12 and leaks[1:] == [0] * (len(leaks) - 1)
+
+
 def test_merge_refuses_a_level_past_the_row_limit(monkeypatch):
     """Every merge of a level checks its rows before any range is grouped:
     with the limit at the largest merge the level is built, one row below
@@ -594,21 +624,18 @@ def test_group_sums_at_the_one_pass_boundary(monkeypatch, pairs, starts, one_pas
 def test_self_complementary_add_raises_at_2_128(monkeypatch, array_min_rows):
     """The single edge joining 0 and n-1 is self-complementary, so both
     counts of its parent flow into the direct slot: exact up to
-    2**128 - 1, refused at 2**128 on either expansion path."""
+    2**128 - 1, carries out of the low limb included, refused at 2**128
+    on either expansion path."""
     monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", array_min_rows)
     root = root_map(6)
-    for d, r, fits in ((2**127, 2**127 - 1, True), (2**127, 2**127, False)):
+    cases = ((2**64 - 1, 1, True), (2**127, 2**127 - 1, True), (2**127, 2**127, False))
+    for d, r, fits in cases:
         m = ClassMap(6, 5, root.keys, search._limbs([(d, r)]))
         if fits:
             assert list(expand_level(m).entries.values()) == [(d + r, 0)]
         else:
             with pytest.raises(search.MultiplicityOverflow, match="128"):
                 expand_level(m)
-    a = _limb_rows([2**128 - 1, 2**64 - 1])
-    b = _limb_rows([0, 1])
-    assert search._add128(a, b).tolist() == [[2**64 - 1] * 2, [0, 1]]
-    with pytest.raises(search.MultiplicityOverflow):
-        search._add128(a, _limb_rows([1, 0]))
 
 
 def test_self_complementary_entries_have_zero_reflected():
@@ -674,6 +701,21 @@ def test_count_rejects_bad_input():
         count(5, TwoEndpoints(0, 9))
     with pytest.raises(ValueError):
         count(5, workers=0)
+
+
+@pytest.mark.parametrize("constraint", [OneEndpoint(1.5), TwoEndpoints(1, 2.0)])
+def test_every_route_refuses_a_label_that_is_not_an_integer(constraint):
+    """A float label is a named TypeError on all four routes, not a count
+    of 0 from brute force or an indexing error from inside the others."""
+    routes = (brute_force_count, dfs_count, count, enumerate_graceful)
+    for route in routes:
+        with pytest.raises(TypeError, match=r"endpoint label (1\.5|2\.0) is not an integer"):
+            route(5, constraint)
+
+
+def test_numpy_integer_labels_are_accepted():
+    c = TwoEndpoints(np.int64(0), np.int64(3))
+    assert count(6, c).count == count(6, TwoEndpoints(0, 3)).count == 1
 
 
 def test_count_level_stats():
@@ -842,10 +884,8 @@ def test_pruning_equals_the_dead_tests_on_the_built_keys(case, block_rows, seed)
 
 
 def test_worker_pool_gives_the_single_worker_levels(monkeypatch):
-    """With the pool threshold and block size lowered, the pool expands
-    every level the array path handles, and changes nothing, at every
-    forced merge size."""
-    monkeypatch.setattr(search, "_PARALLEL_MIN_ROWS", 1)
+    """With the block size lowered, the pool is handed every level, and
+    changes nothing, at every forced merge size."""
     monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
     pooled = []
     real_expand = search._expand
@@ -863,7 +903,7 @@ def test_worker_pool_gives_the_single_worker_levels(monkeypatch):
             pooled.clear()
             levels = []
             r = count(n, c, workers=workers, on_level=levels.append)
-            assert any(pooled)
+            assert all(pooled)
             assert r.count == base.count
             assert [(s.level, s.class_count, s.node_sum) for s in r.levels] == [
                 (s.level, s.class_count, s.node_sum) for s in base.levels

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -428,8 +429,8 @@ def constraint_json(constraint: Constraint):
     if constraint is None:
         return None
     if isinstance(constraint, OneEndpoint):
-        return {"endpoint": constraint.a}
-    return {"endpoints": [constraint.a, constraint.b]}
+        return {"endpoint": operator.index(constraint.a)}
+    return {"endpoints": [operator.index(constraint.a), operator.index(constraint.b)]}
 
 
 def count_result_json(result: CountResult) -> dict:

@@ -77,14 +77,15 @@ _ARRAY_MIN_ROWS = 16
 #: into the level as soon as the block is done (``_fold``).
 _BLOCK_ROWS = 4096
 
-#: About the most grouped rows that one merge takes: a level being folded
-#: is kept in key ranges of at most _MERGE_ROWS / 2 rows, and a merge of
-#: more rows is cut into key ranges of about _MERGE_ROWS / 4 rows, each
-#: grouped alone, which bounds the merge's sort and sum transient.
+#: About the most rows that one merge takes: a level being folded is kept
+#: in key ranges of under _MERGE_ROWS / 2 grouped rows, and a merge groups
+#: a range's runs into one, which it cuts by position into runs of
+#: _MERGE_ROWS / 4 to _MERGE_ROWS / 2 rows; this bounds the merge's sort
+#: and sum transient.
 _MERGE_ROWS = 2**15
 
-#: Most rows one merge may take; the 32-bit digit sums of a group of more
-#: rows could wrap.
+#: Most rows one group may take; the 32-bit digit sums of more rows could
+#: wrap.
 _MAX_MERGE_ROWS = 2**32 - 1
 
 #: Key rows that ``_orient`` translates at a time.  Its two temporary byte
@@ -217,9 +218,10 @@ class GracefulPermutation:
     seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seq", tuple(self.seq))
-        if not is_graceful(self.seq):
-            raise ValueError(f"not a graceful permutation: {list(self.seq)}")
+        seq = tuple(self.seq)
+        if not is_graceful(seq):
+            raise ValueError(f"not a graceful permutation: {list(seq)}")
+        object.__setattr__(self, "seq", tuple(map(operator.index, seq)))
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -241,22 +243,26 @@ class EnumerationResult:
 
 
 def is_graceful(seq: Sequence[int]) -> bool:
-    """True iff seq is a permutation of 0..n-1 with differences 1..n-1."""
+    """True iff seq is a permutation of 0..n-1 with differences 1..n-1.
+    Labels may be of any integer type that ``operator.index`` accepts."""
     n = len(seq)
     if n == 0:
         return False
+    try:
+        labels = [operator.index(x) for x in seq]
+    except TypeError:
+        return False
     labels_seen = 0
-    for x in seq:
-        if not isinstance(x, int) or not 0 <= x < n:
+    for x in labels:
+        if not 0 <= x < n:
             return False
         bit = 1 << x
         if labels_seen & bit:
             return False
         labels_seen |= bit
     diffs_seen = 0
-    prev = seq[0]
-    for i in range(1, n):
-        cur = seq[i]
+    prev = labels[0]
+    for cur in labels[1:]:
         d = cur - prev
         if d < 0:
             d = -d
@@ -472,10 +478,6 @@ def enumerate_graceful(
 
 _LOW32 = 0xFFFF_FFFF
 
-#: Maps at most this long are summed through ``tolist``, which beats the
-#: fixed cost of the numpy calls.
-_TOLIST_MAX_ROWS = 64
-
 
 @lru_cache(maxsize=None)
 def _byte_tables(n: int) -> tuple[bytes, np.ndarray, np.ndarray]:
@@ -527,8 +529,6 @@ def _limbs(pairs) -> np.ndarray:
 
 def _limb_sum(limbs: np.ndarray) -> int:
     """Exact sum of every 128-bit value held in ``(rows, 2k)`` limbs."""
-    if len(limbs) <= _TOLIST_MAX_ROWS:
-        return sum(x << (64 * (j % 2)) for row in limbs.tolist() for j, x in enumerate(row))
     # 32-bit digit columns summed in 64 bits cannot wrap below 2**32 rows.
     digits = np.ascontiguousarray(limbs).view(np.uint32).sum(axis=0, dtype=np.uint64)
     return sum(x << (32 * (j % 4)) for j, x in enumerate(digits.tolist()))
@@ -636,6 +636,9 @@ def _group(parts):
     input array can be freed as soon as it is copied; a single pair is
     sorted without a copy.  The stable sort (a timsort) merges the
     presorted runs of grouped blocks instead of sorting from scratch."""
+    total = sum(len(keys) for keys, _ in parts)
+    if total > _MAX_MERGE_ROWS:
+        raise MultiplicityOverflow(f"{total} rows to group, the limit is {_MAX_MERGE_ROWS}")
     w = parts[0][0].shape[1]
     if len(parts) == 1:
         keys, mult = parts.pop()
@@ -696,36 +699,23 @@ def _join(runs):
 
 
 def _merge(parts, size: int):
-    """Grouped runs of about ``size`` rows each, in key order, from a list
-    of sorted, duplicate-free (keys, mult) runs, which is emptied.
+    """Grouped runs of at least ``size`` rows each, unless there is only
+    one, in key order, from a list of sorted, duplicate-free (keys, mult)
+    runs, which is emptied.
 
-    At most ``2 * size`` rows make one run: the single input run as it is,
-    or the group of them all.  More rows are cut at splitters sampled from
-    every run at even strides into key ranges of about ``size`` rows.  A
-    cut takes the first row not below its splitter, so equal keys from
-    every run land in one range.  Each run's slices are copied out before
-    the next run is cut, so the runs are freed as they are redistributed.
-    Ranges that repeated splitters leave empty are dropped, and a range
-    holding one slice is grouped already.
+    The runs are grouped into one; a single run is grouped already and is
+    used as it is.  Below ``2 * size`` rows that run is returned whole;
+    more are cut by position into ``rows // size`` runs whose lengths
+    differ by at most one row.  A grouped run holds each key once, so no
+    key is split between two runs.  The pieces are copied out, so the
+    grouped run is freed once they are cut.
     """
-    total = sum(len(keys) for keys, _ in parts)
-    if total > _MAX_MERGE_ROWS:
-        raise MultiplicityOverflow(f"{total} rows to merge, the limit is {_MAX_MERGE_ROWS}")
-    if total <= 2 * size:
-        return [parts.pop() if len(parts) == 1 else _group(parts)]
-    ranges = -(-total // size)
-    step = max(1, size // 16)  # about 16 samples per range
-    samples = np.sort(np.concatenate([_rows(keys)[::step] for keys, _ in parts]))
-    splitters = samples[np.arange(1, ranges) * len(samples) // ranges]
-    pieces = [[] for _ in range(ranges)]
-    while parts:
-        keys, mult = parts.pop()
-        cuts = [0, *np.searchsorted(_rows(keys), splitters, side="left").tolist(), len(keys)]
-        for piece, a, b in zip(pieces, cuts, cuts[1:]):
-            if a < b:
-                piece.append((keys[a:b].copy(), mult[a:b].copy()))
-    del keys, mult  # the last run, too, before the ranges are grouped
-    return [piece.pop() if len(piece) == 1 else _group(piece) for piece in pieces if piece]
+    keys, mult = parts.pop() if len(parts) == 1 else _group(parts)
+    pieces = len(keys) // size
+    if pieces <= 1:
+        return [(keys, mult)]
+    cuts = [i * len(keys) // pieces for i in range(pieces + 1)]
+    return [(keys[a:b].copy(), mult[a:b].copy()) for a, b in zip(cuts, cuts[1:])]
 
 
 def _fold(blocks):
@@ -738,12 +728,12 @@ def _fold(blocks):
     is cut at the buckets' first keys and its slices are copied out, so
     the block is freed at once.  A bucket whose held rows outgrow its run
     is merged (``_merge``, which empties the list, so the bucket's arrays
-    are freed as the merge goes), and the merge's runs, of about
-    ``_MERGE_ROWS / 4`` rows each, replace it as buckets, so equal keys
+    are freed as the merge goes), and the merge's runs, of ``_MERGE_ROWS /
+    4`` to ``_MERGE_ROWS / 2`` rows, replace it as buckets, so equal keys
     always share a bucket.  So the rows held beside the runs stay below
     the rows in them plus one block, and a merge takes about
-    ``_MERGE_ROWS`` rows at most.  Last, each bucket is merged once more,
-    written into the output in key order and freed.
+    ``_MERGE_ROWS`` rows at most.  Last, each bucket is grouped, written
+    into the output in key order and freed.
     """
     size = max(1, _MERGE_ROWS // 4)
     buckets = None
@@ -762,7 +752,7 @@ def _fold(blocks):
         for i in reversed(range(len(buckets))):
             if sum(len(k) for k, _ in buckets[i]) > 2 * len(buckets[i][0][0]):
                 buckets[i : i + 1] = [[run] for run in _merge(buckets[i], size)]
-    return _join(run for bucket in buckets for run in _merge(bucket, size))
+    return _join(bucket.pop() if len(bucket) == 1 else _group(bucket) for bucket in buckets)
 
 
 def _compare_rows(a: np.ndarray, b: np.ndarray):

@@ -163,6 +163,21 @@ def test_count_result_json_schema():
     assert count_result_json(count(3, OneEndpoint(1)))["constraint"] == {"endpoint": 1}
 
 
+def test_count_result_json_takes_numpy_labels():
+    """Endpoint labels of numpy integer types serialize as plain ints: the
+    JSON equals the plain-int run's, apart from the times."""
+
+    def doc(constraint):
+        out = count_result_json(count(6, constraint))
+        del out["elapsed_ms"]
+        for level in out["levels"]:
+            del level["seconds"]
+        return json.dumps(out)
+
+    assert doc(TwoEndpoints(np.int64(0), np.int64(3))) == doc(TwoEndpoints(0, 3))
+    assert doc(OneEndpoint(np.int32(2))) == doc(OneEndpoint(2))
+
+
 # -- checkpoints ---------------------------------------------------------------
 
 

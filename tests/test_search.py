@@ -69,6 +69,11 @@ def all_constraints(n):
         ((0, 0), False),  # not a permutation
         ((0, 2), False),  # labels out of range
         ((2, 0, 1), True),
+        ((1.0, 0), False),  # not an integer
+        (np.array([0, 2, 1]), True),
+        (np.array([0, 2, 1], dtype=np.uint8), True),  # 1 - 2 wraps in uint8
+        (np.array([0, 1, 2], dtype=np.uint8), False),
+        ((np.int64(1), np.int32(0)), True),
     ],
 )
 def test_is_graceful(seq, expected):
@@ -77,6 +82,8 @@ def test_is_graceful(seq, expected):
 
 def test_graceful_permutation_validates():
     GracefulPermutation((0, 3, 1, 2))
+    p = GracefulPermutation(np.array([0, 2, 1], dtype=np.uint8))
+    assert p.seq == (0, 2, 1) and all(type(x) is int for x in p)
     with pytest.raises(ValueError):
         GracefulPermutation((0, 1, 2))
 
@@ -210,8 +217,8 @@ def _assert_same_levels(got, expected):
         assert np.array_equal(a.mult, b.mult)
 
 
-#: Merge sizes the tests force: the default, and ranges so small that
-#: nearly every row is a splitter and repeated splitters leave ranges empty.
+#: Merge sizes the tests force: the default, and runs so small that a
+#: merge cuts its group into runs of one or two rows.
 MERGE_ROWS = (search._MERGE_ROWS, 1, 2, 5)
 
 
@@ -273,10 +280,10 @@ def _grouped_blocks(draw_keys, n):
     st.sampled_from(MERGE_ROWS) | st.integers(1, 40),
 )
 def test_merge_matches_one_global_group(draw_keys, merge_rows):
-    """Merging grouped blocks range by range, and folding them into a
-    level one block at a time, each give what one global sort and sum of
-    all their rows gives, bit for bit, carries included: the merge as its
-    runs joined in order, none of them empty unless it is the only one."""
+    """Merging grouped blocks, and folding them into a level one block at
+    a time, each give what one global sort and sum of all their rows
+    gives, bit for bit, carries included: the merge as its runs joined in
+    order, none of them empty unless it is the only one."""
     expected = search._group(_grouped_blocks(draw_keys, 3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_MERGE_ROWS", merge_rows)
@@ -288,31 +295,31 @@ def test_merge_matches_one_global_group(draw_keys, merge_rows):
         assert np.array_equal(keys, expected[0]) and np.array_equal(mult, expected[1])
 
 
-def test_merge_ranges_split_at_repeated_splitters(monkeypatch):
-    """Blocks that share keys give repeated splitters: the ranges between
-    equal splitters are dropped, every key is summed in one range, and a
-    range that holds one slice of a grouped block is not grouped again."""
-    keys = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1], [2, 2, 2]]
-    blocks = [keys[:3] + keys[4:], keys[1:3] + keys[4:], keys[:2] + keys[3:]]
-    expected = search._group(_grouped_blocks(blocks, 3))
-    parts = _grouped_blocks(blocks, 3)
-    one_slice = parts[2][0][2:3].copy(), parts[2][1][2:3].copy()  # the key 1, 1, 1
-    sizes = []
-    real_group = search._group
-
-    def spy(parts):
-        sizes.append(sum(len(k) for k, _ in parts))
-        return real_group(parts)
-
-    monkeypatch.setattr(search, "_group", spy)
-    runs = search._merge(parts, 1)
-    assert parts == []
-    # Eleven ranges, six of them empty; the one slice of 1, 1, 1 is kept as it is.
-    assert sizes == [2, 3, 2, 3]
-    assert [k.tolist() for k, _ in runs] == [[key] for key in keys]
-    assert np.array_equal(runs[3][0], one_slice[0]) and np.array_equal(runs[3][1], one_slice[1])
-    assert np.array_equal(np.concatenate([k for k, _ in runs]), expected[0])
-    assert np.array_equal(np.concatenate([m for _, m in runs]), expected[1])
+def test_merge_cuts_its_group_by_position():
+    """A merge groups its runs into one and cuts it by position: three
+    copies of 40 distinct keys make 4 runs of 10 rows at size 10.  At every
+    size the runs are non-empty, differ in length by at most one row, hold
+    at least ``size`` rows each unless there is only one, and join into the
+    group of the input, which is emptied; a single input run that makes
+    one run comes back as it is."""
+    keys = [[a, b, c] for a in range(4) for b in range(4) for c in range(3)][:40]
+    expected = search._group(_grouped_blocks([keys] * 3, 3))
+    for size in range(1, 50):
+        parts = _grouped_blocks([keys] * 3, 3)
+        runs = search._merge(parts, size)
+        assert parts == []
+        lengths = [len(k) for k, _ in runs]
+        assert len(runs) == max(1, 40 // size) and min(lengths) > 0
+        assert max(lengths) - min(lengths) <= 1
+        assert len(runs) == 1 or min(lengths) >= size
+        assert np.array_equal(np.concatenate([k for k, _ in runs]), expected[0])
+        assert np.array_equal(np.concatenate([m for _, m in runs]), expected[1])
+        if size == 10:
+            assert lengths == [10] * 4
+    parts = _grouped_blocks([keys], 3)
+    run = parts[0]
+    (got,) = search._merge(parts, 21)
+    assert parts == [] and got[0] is run[0] and got[1] is run[1]
 
 
 def test_each_merge_of_a_fold_frees_its_inputs(monkeypatch):
@@ -346,24 +353,25 @@ def test_each_merge_of_a_fold_frees_its_inputs(monkeypatch):
 
 
 def test_merge_refuses_a_level_past_the_row_limit(monkeypatch):
-    """Every merge of a level checks its rows before any range is grouped:
-    with the limit at the largest merge the level is built, one row below
-    it the named error is raised."""
+    """Every group of a level, in its blocks, its merges and the fold's
+    last pass, checks its rows before it sorts them: with the limit at the
+    largest group the level is built, one row below it the named error is
+    raised."""
     monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(search, "_MERGE_ROWS", 5)
     m = root_map(16)
     while len(m.keys) < 50:
         m = expand_level(m)
     totals = []
-    real_merge = search._merge
+    real_group = search._group
 
-    def spy(parts, size):
+    def spy(parts):
         totals.append(sum(len(k) for k, _ in parts))
-        return real_merge(parts, size)
+        return real_group(parts)
 
-    monkeypatch.setattr(search, "_merge", spy)
+    monkeypatch.setattr(search, "_group", spy)
     child = expand_level(m)
-    monkeypatch.setattr(search, "_merge", real_merge)
+    monkeypatch.setattr(search, "_group", real_group)
     total = max(totals)
     assert len(totals) > 1 and total > search._MERGE_ROWS
     monkeypatch.setattr(search, "_MAX_MERGE_ROWS", total)
@@ -371,7 +379,7 @@ def test_merge_refuses_a_level_past_the_row_limit(monkeypatch):
     assert np.array_equal(at_limit.keys, child.keys)
     assert np.array_equal(at_limit.mult, child.mult)
     monkeypatch.setattr(search, "_MAX_MERGE_ROWS", total - 1)
-    with pytest.raises(search.MultiplicityOverflow, match=f"{total} rows to merge"):
+    with pytest.raises(search.MultiplicityOverflow, match=f"{total} rows to group"):
         expand_level(m)
 
 
@@ -539,19 +547,15 @@ def _limb_rows(values):
 def test_group_sums_match_python_ints(pairs, data):
     """Group sums, one-pass or from 32-bit digits with carries, give every
     group's exact 128-bit sum, and raise the named error instead of
-    wrapping at 2**128; the
-    whole-map sum is exact through ``tolist`` and through digit sums."""
+    wrapping at 2**128; the whole-map sum from digit sums is exact too."""
     rows = len(pairs)
     cuts = data.draw(st.sets(st.integers(1, rows - 1)) if rows > 1 else st.just(set()))
     starts = np.array([0] + sorted(cuts), dtype=np.intp)
     mult = np.concatenate(
         [_limb_rows(d for d, _ in pairs), _limb_rows(r for _, r in pairs)], axis=1
     )
-    for tolist_max_rows in (0, rows):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_TOLIST_MAX_ROWS", tolist_max_rows)
-            assert search._limb_sum(mult) == sum(d + r for d, r in pairs)
-            assert search._limb_sum(mult[:, 2:]) == sum(r for _, r in pairs)
+    assert search._limb_sum(mult) == sum(d + r for d, r in pairs)
+    assert search._limb_sum(mult[:, 2:]) == sum(r for _, r in pairs)
     bounds = list(starts) + [rows]
     sums = [
         [sum(p[slot] for p in pairs[a:b]) for slot in (0, 1)]

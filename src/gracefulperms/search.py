@@ -67,9 +67,9 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 11
 
 #: Below this many classes the per-key loop beats the array path: on the
-#: 12,217 levels under 16 classes that counting every constraint with
-#: n <= 16 meets, the array path takes 230-250 us per level and the loop
-#: 32-34 us (2 vCPUs, Python 3.11, numpy 2.4).
+#: 10,572 levels under 16 classes that counting every constraint with
+#: n <= 16 expands, the array path takes 129-155 us per level and the loop
+#: 23-27 us (2 vCPUs, Python 3.11, numpy 2.4).
 _ARRAY_MIN_ROWS = 16
 
 #: Parent rows the array path expands and groups at a time; bounds the
@@ -728,9 +728,10 @@ def _fold(blocks):
     is cut at the buckets' first keys and its slices are copied out, so
     the block is freed at once.  A bucket whose held rows outgrow its run
     is merged (``_merge``, which empties the list, so the bucket's arrays
-    are freed as the merge goes), and the merge's runs, of ``_MERGE_ROWS /
-    4`` to ``_MERGE_ROWS / 2`` rows, replace it as buckets, so equal keys
-    always share a bucket.  So the rows held beside the runs stay below
+    are freed as the merge goes), and the merge's runs, each of under
+    ``_MERGE_ROWS / 2`` rows and, when there are several, of at least
+    ``_MERGE_ROWS / 4``, replace it as buckets, so equal keys always share
+    a bucket.  So the rows held beside the runs stay below
     the rows in them plus one block, and a merge takes about
     ``_MERGE_ROWS`` rows at most.  Last, each bucket is grouped, written
     into the output in key order and freed.

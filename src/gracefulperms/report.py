@@ -181,55 +181,6 @@ def read_checkpoint_header(path: Union[str, Path]) -> CheckpointHeader:
     return CheckpointHeader(n, constraint, level, records)
 
 
-#: The record checks of ``load_checkpoint``, in the order they are applied;
-#: a record is reported with the first one it fails.
-_RECORD_ERRORS = (
-    "record {i} violates state invariants: {detail}",
-    "record {i} is not a normalized encoding",
-    "record {i} is not the canonical orientation of its class",
-    "record {i} is on level {level}, header says {expected}",
-    "record {i} has zero multiplicity",
-    "record {i} is self-complementary but has a reflected count",
-    "duplicate key in record {i}",
-    "record {i} is out of key order",
-)
-
-
-def _record_checks(wide: np.ndarray, keys: np.ndarray, limbs: np.ndarray, level: int):
-    """One row per record and one column per ``_RECORD_ERRORS`` entry, True
-    where the record fails that check; the key-order columns are left False.
-    ``wide`` holds the records' two-byte keys and ``keys`` their one-byte
-    form, which is exact wherever the first two checks pass.  Also
-    returns each record's level, read from its slot sum."""
-    n = wide.shape[1] // 2
-    F = wide[:, 0::2]
-    P = wide[:, 1::2]
-    labels = np.arange(n, dtype=np.uint8)
-    ends = F == 1
-    # state.decode's invariants: a free count in 0..2, an even slot sum
-    # that puts the level in 0..n-1, endpoints paired with another label
-    # that is an endpoint paired back, and two endpoints on the terminal level.
-    free_sum = F.sum(axis=1, dtype=np.uint16).astype(np.int32)
-    slots = 2 * n - free_sum
-    rec_level = (n - 1) - slots // 2
-    q = np.minimum(P, n - 1)
-    unpaired = (P >= n) | (P == labels)
-    unpaired |= np.take_along_axis(F, q, axis=1) != 1
-    unpaired |= np.take_along_axis(P, q, axis=1) != labels
-    bad = np.zeros((len(wide), len(_RECORD_ERRORS)), dtype=bool)
-    bad[:, 0] = (F > 2).any(axis=1) | (free_sum % 2 == 1) | (rec_level < 0) | (rec_level >= n)
-    bad[:, 0] |= (ends & unpaired).any(axis=1)
-    if n >= 2:
-        bad[:, 0] |= (rec_level == 0) & (np.count_nonzero(ends, axis=1) != 2)
-    bad[:, 1] = (~ends & (P != state.SENTINEL)).any(axis=1)
-    _, reflected, self_comp = search._orient(keys)
-    bad[:, 2] = reflected
-    bad[:, 3] = rec_level != level
-    bad[:, 4] = ~limbs.any(axis=1)
-    bad[:, 5] = self_comp & limbs[:, 2:].any(axis=1)
-    return bad, rec_level
-
-
 def load_checkpoint(
     path: Union[str, Path],
     *,
@@ -239,8 +190,9 @@ def load_checkpoint(
     """Read a class map back, validating structure and every record.
 
     Records are read and checked as arrays, ``search._BLOCK_ROWS`` at a
-    time; the error names the first failing record and the first check it
-    fails.
+    time, with the state rule that ``count(initial=)`` also applies; the
+    first failing record is checked again one check at a time, and the
+    error names it and the first check it fails.
     """
     header = read_checkpoint_header(path)
     if expect_n is not None and header.n != expect_n:
@@ -276,19 +228,6 @@ def load_checkpoint(
 def _read_records(fh, path, header: CheckpointHeader, record: int) -> ClassMap:
     n, rows = header.n, header.records
     width = 2 * n
-
-    def fail(i: int, check: int, key: bytes, level: int = 0):
-        detail = ""
-        if check == 0:
-            try:
-                state.decode(key)
-            except ValueError as exc:
-                detail = str(exc)
-        message = _RECORD_ERRORS[check].format(
-            i=i, detail=detail, level=level, expected=header.level
-        )
-        return CheckpointError(f"{path}: {message}")
-
     keys = np.empty((rows, n), dtype=np.uint8)
     mult = np.empty((rows, 4), dtype="<u8")
     for start in range(0, rows, search._BLOCK_ROWS):
@@ -300,19 +239,52 @@ def _read_records(fh, path, header: CheckpointHeader, record: int) -> ClassMap:
         wide = block[:, :width]
         limbs = mult[start:stop]  # d lo, d hi, r lo, r hi
         limbs.view(np.uint8)[:] = block[:, width:]
-        keys[start:stop] = search._compact(wide)
-        bad, rec_level = _record_checks(wide, keys[start:stop], limbs, header.level)
+        block_keys = keys[start:stop]
+        block_keys[:] = search._compact(wide)
+        # The one-byte form round-trips exactly for normalized records with
+        # free counts of at most 2 and end partners below n; the state rule
+        # covers the rest of state.decode and the header's level.
+        bad = (search._widen(block_keys) != wide).any(axis=1)
+        bad |= search._bad_states(block_keys, header.level)
+        _, reflected, self_comp = search._orient(block_keys)
+        bad |= reflected | ~limbs.any(axis=1) | self_comp & limbs[:, 2:].any(axis=1)
         # Each key against the one before it, the first key of a block
         # against the last of the previous block.
         after = max(start, 1)
         less, equal = search._compare_rows(keys[after:stop], keys[after - 1 : stop - 1])
-        bad[after - start :, 6] = equal
-        bad[after - start :, 7] = less
-        failing = bad.any(axis=1)
-        if failing.any():
-            j = int(failing.argmax())
-            raise fail(start + j, int(bad[j].argmax()), wide[j].tobytes(), int(rec_level[j]))
+        bad[after - start :] |= less | equal
+        if bad.any():
+            i = start + int(bad.argmax())
+            prev = search._widen(keys[i - 1 : i]).tobytes()
+            message = _record_error(i, wide[i - start].tobytes(), prev, mult[i], header.level)
+            raise CheckpointError(f"{path}: {message}")
     return ClassMap(n, header.level, keys, mult, header.constraint)
+
+
+def _record_error(i: int, key: bytes, prev: bytes, limbs: np.ndarray, level: int) -> str:
+    """What is wrong with record ``i``, a two-byte ``key`` after ``prev``
+    (empty for the first record): the first of the record checks it fails,
+    applied one record at a time with ``state``'s functions."""
+    try:
+        s = state.decode(key)
+    except ValueError as exc:
+        return f"record {i} violates state invariants: {exc}"
+    if state.encode(s) != key:
+        return f"record {i} is not a normalized encoding"
+    comp = state.complement_key(key)
+    if comp < key:
+        return f"record {i} is not the canonical orientation of its class"
+    if s.next_edge_label != level:
+        return f"record {i} is on level {s.next_edge_label}, header says {level}"
+    if not limbs.any():
+        return f"record {i} has zero multiplicity"
+    if comp == key and limbs[2:].any():
+        return f"record {i} is self-complementary but has a reflected count"
+    if key == prev:
+        return f"duplicate key in record {i}"
+    if key < prev:
+        return f"record {i} is out of key order"
+    raise RuntimeError(f"record {i} failed the block checks but passes every record check")
 
 
 def resume_candidates(

@@ -514,6 +514,30 @@ def _compact(wide: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bad_states(keys: np.ndarray, level: int) -> np.ndarray:
+    """True for each one-byte key row that is not a state on ``level``: a
+    byte above n + 1, a path end paired with itself or with a label that
+    does not pair it back, a slot sum (2 per 0 byte, 1 per end) other
+    than 2 (n - 1 - level), or, on level 0 with n >= 2, other than two
+    ends.  Over rows of bytes 0..n + 1 this is ``state.decode`` of the
+    widened row failing or landing on another level."""
+    n = keys.shape[1]
+    labels = np.arange(n, dtype=np.uint8)
+    partner = keys - np.uint8(1)  # 0 and n + 1 map outside 0..n - 1
+    ends = partner < n
+    # The byte at each end's partner, through flat indices: faster than
+    # np.take_along_axis.
+    at = np.minimum(partner, n - 1).astype(np.intp) + np.arange(0, keys.size, n)[:, None]
+    back = keys.reshape(-1)[at]
+    bad = (keys > n + 1).any(axis=1)
+    bad |= (ends & ((partner == labels) | (back != labels + 1))).any(axis=1)
+    end_count = np.count_nonzero(ends, axis=1)
+    bad |= 2 * np.count_nonzero(keys == 0, axis=1) + end_count != 2 * (n - 1 - level)
+    if level == 0 and n >= 2:
+        bad |= end_count != 2
+    return bad
+
+
 def _limbs(pairs) -> np.ndarray:
     """``(rows, 4)`` limbs of (direct, reflected) pairs of Python ints."""
     flat = []
@@ -1009,7 +1033,10 @@ def count(
     (``_BLOCK_ROWS`` rows) in processes; results are bit-identical to the
     single-worker run because the per-class merge is exact and
     independent of the blocks.  ``initial``
-    resumes from a previously saved map built for the same constraint; it
+    resumes from a previously saved map on ``n`` labels, built for the
+    same constraint or for None.  Its rows are checked to be states on its
+    level, ``_BLOCK_ROWS`` at a time, and a row that is not raises
+    ``ValueError``; ``expand_level`` and ``finalize`` trust their map.  It
     is released after its expansion, so a map the caller passes without
     keeping a reference is freed before the first ``on_level`` call.
     ``on_level`` is called after every completed level.
@@ -1028,10 +1055,12 @@ def count(
     if initial is not None:
         if initial.n != n:
             raise ValueError(f"initial map is for n={initial.n}, not n={n}")
-        if initial.constraint != constraint:
-            raise ValueError(
-                f"initial map was built for {initial.constraint!r}, not {constraint!r}"
-            )
+        # expand_level and finalize refuse a map built for another constraint.
+        for start in range(0, len(initial.keys), _BLOCK_ROWS):
+            bad = _bad_states(initial.keys[start : start + _BLOCK_ROWS], initial.level)
+            if bad.any():
+                row = start + int(bad.argmax())
+                raise ValueError(f"initial map row {row} is not a state on level {initial.level}")
         # Hold the map only as the current level, so that it is freed once
         # it has been expanded unless the caller keeps it.
         cmap, initial = initial, None

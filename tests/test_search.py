@@ -953,6 +953,94 @@ def test_maps_resume_under_either_prune_setting():
     assert finalize(m, OneEndpoint(2)) == dfs_count(9, OneEndpoint(2))
 
 
+def test_count_resumes_a_constraint_from_a_map_built_for_none():
+    """``count(initial=)`` takes a map built for None under any constraint,
+    like ``expand_level`` and ``finalize`` do."""
+    c = TwoEndpoints(4, 12)
+    maps = []
+    count(16, on_level=maps.append)
+    for m in maps[3::5]:
+        assert m.constraint is None
+        assert count(16, c, initial=m).count == dfs_count(16, c)
+
+
+def test_initial_maps_must_hold_states_of_their_level():
+    """A map whose rows are not states on its level is refused with the
+    row and the level, not counted (the root on level 3 of n = 6 would
+    give 80 where G(6) is 24) or left to fail inside the engine."""
+    root = root_map(6)
+    wrong_level = ClassMap(6, 3, root.keys, root.mult)
+    with pytest.raises(ValueError, match="row 0 is not a state on level 3"):
+        count(6, initial=wrong_level)
+    byte_200 = ClassMap(6, 5, np.full((1, 6), 200, dtype=np.uint8), root.mult)
+    with pytest.raises(ValueError, match="row 0 is not a state on level 5"):
+        count(6, initial=byte_200)
+    # Level 0 with no path end: every label used up but one (2 would be
+    # counted).
+    no_ends = ClassMap(4, 0, np.array([[0, 0, 0, 5]], dtype=np.uint8), root_map(4).mult)
+    with pytest.raises(ValueError, match="row 0 is not a state on level 0"):
+        count(4, initial=no_ends)
+    # The rule runs block by block and names the row in the whole map.
+    maps = []
+    count(12, on_level=maps.append)
+    m = max(maps, key=lambda m: len(m.keys))
+    keys = m.keys.copy()
+    keys[-1, 0] = 200
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_ROWS", 7)
+        with pytest.raises(ValueError, match=f"row {len(keys) - 1} is not a state on level"):
+            count(12, initial=ClassMap(12, m.level, keys, m.mult))
+
+
+def test_initial_maps_must_pair_their_path_ends():
+    """A path end whose partner does not name it back is refused (the
+    engine would count 8 from it)."""
+    root = root_map(6)
+    # The paths 0-1 and 2-3; then label 0 names 2, which names 3 back.
+    paired = np.array([[2, 1, 4, 3, 7, 7]], dtype=np.uint8)
+    assert not search._bad_states(paired, 3).any()
+    unpaired = ClassMap(6, 3, np.array([[3, 1, 4, 3, 7, 7]], dtype=np.uint8), root.mult)
+    with pytest.raises(ValueError, match="row 0 is not a state on level 3"):
+        count(6, initial=unpaired)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.none()
+            | st.builds(OneEndpoint, st.integers(0, n - 1))
+            | st.builds(TwoEndpoints, st.integers(0, n - 1), st.integers(0, n - 1)),
+        )
+    ),
+    st.data(),
+)
+def test_the_state_rule_is_decode_on_one_byte_rows(case, data):
+    """Every level of a run passes ``_bad_states``.  With one byte of a
+    real row set to any value, the rule flags the row exactly when the
+    row does not survive the round trip through the two-byte form, or
+    when ``state.decode`` refuses the widened row or puts it on another
+    level."""
+    n, c = case
+    levels = [root_map(n)]
+    count(n, c, on_level=levels.append)
+    for m in levels:
+        assert not search._bad_states(m.keys, m.level).any()
+    live = [m for m in levels if len(m.keys)]
+    m = data.draw(st.sampled_from(live))
+    row = m.keys[data.draw(st.integers(0, len(m.keys) - 1))].copy()
+    row[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, 255))
+    row = row[None]
+    wide = search._widen(row)
+    try:
+        off_level = decode(wide.tobytes()).next_edge_label != m.level
+    except ValueError:
+        off_level = True
+    expected = not np.array_equal(search._compact(wide), row) or off_level
+    assert search._bad_states(row, m.level)[0] == expected
+
+
 # -- oracle agreement and symmetries (small sweep; the full sweep lives in
 #    the acceptance suite) -----------------------------------------------------
 

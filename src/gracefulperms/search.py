@@ -526,8 +526,10 @@ def _bad_states(keys: np.ndarray, level: int) -> np.ndarray:
     partner = keys - np.uint8(1)  # 0 and n + 1 map outside 0..n - 1
     ends = partner < n
     # The byte at each end's partner, through flat indices: faster than
-    # np.take_along_axis.
-    at = np.minimum(partner, n - 1).astype(np.intp) + np.arange(0, keys.size, n)[:, None]
+    # np.take_along_axis.  The row offsets are added in place, so that one
+    # index array of 8 bytes per key byte is held, not two.
+    at = np.minimum(partner, n - 1).astype(np.intp)
+    at += np.arange(0, keys.size, n)[:, None]
     back = keys.reshape(-1)[at]
     bad = (keys > n + 1).any(axis=1)
     bad |= (ends & ((partner == labels) | (back != labels + 1))).any(axis=1)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import operator
+import sys
 import time
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -87,6 +88,9 @@ _MERGE_ROWS = 2**15
 #: Most rows one group may take; the 32-bit digit sums of more rows could
 #: wrap.
 _MAX_MERGE_ROWS = 2**32 - 1
+
+#: Enumerated sequences that ``_check_graceful`` checks at a time.
+_CHECK_ROWS = 4096
 
 #: Key rows that ``_orient`` translates at a time.  Its two temporary byte
 #: strings are this size: chunks of 4,096 rows already raised peak RSS, and
@@ -219,9 +223,17 @@ class GracefulPermutation:
 
     def __post_init__(self) -> None:
         seq = tuple(self.seq)
-        if not is_graceful(seq):
+        labels = _graceful_labels(seq)
+        if labels is None:
             raise ValueError(f"not a graceful permutation: {list(seq)}")
-        object.__setattr__(self, "seq", tuple(map(operator.index, seq)))
+        object.__setattr__(self, "seq", labels)
+
+    @classmethod
+    def _checked(cls, seq: tuple[int, ...]) -> GracefulPermutation:
+        """Wrap a tuple of ints that ``_check_graceful`` has passed."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "seq", seq)
+        return perm
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -245,20 +257,25 @@ class EnumerationResult:
 def is_graceful(seq: Sequence[int]) -> bool:
     """True iff seq is a permutation of 0..n-1 with differences 1..n-1.
     Labels may be of any integer type that ``operator.index`` accepts."""
+    return _graceful_labels(seq) is not None
+
+
+def _graceful_labels(seq: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """``is_graceful``'s rule: seq's labels as a tuple of ints, or None."""
     n = len(seq)
     if n == 0:
-        return False
+        return None
     try:
-        labels = [operator.index(x) for x in seq]
+        labels = tuple(map(operator.index, seq))
     except TypeError:
-        return False
+        return None
     labels_seen = 0
     for x in labels:
         if not 0 <= x < n:
-            return False
+            return None
         bit = 1 << x
         if labels_seen & bit:
-            return False
+            return None
         labels_seen |= bit
     diffs_seen = 0
     prev = labels[0]
@@ -268,10 +285,32 @@ def is_graceful(seq: Sequence[int]) -> bool:
             d = -d
         bit = 1 << d
         if diffs_seen & bit:
-            return False
+            return None
         diffs_seen |= bit
         prev = cur
-    return True
+    return labels
+
+
+def _bad_rows(rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """``is_graceful``'s rule over equal-length rows of ints, at once: True
+    for a row whose sorted labels are not 0..n-1 or whose sorted absolute
+    differences are not 1..n-1."""
+    a = np.array(rows, dtype=np.int32)
+    n = a.shape[1]
+    bad = (np.sort(a, axis=1) != np.arange(n, dtype=np.int32)).any(axis=1)
+    diffs = np.abs(np.diff(a, axis=1))
+    diffs.sort(axis=1)
+    return bad | (diffs != np.arange(1, n, dtype=np.int32)).any(axis=1)
+
+
+def _check_graceful(seqs: list[tuple[int, ...]]) -> None:
+    """Raise ``GracefulPermutation``'s ValueError for the first sequence
+    that is not graceful, checking _CHECK_ROWS sequences at a time."""
+    for start in range(0, len(seqs), _CHECK_ROWS):
+        bad = _bad_rows(seqs[start : start + _CHECK_ROWS])
+        if bad.any():
+            seq = seqs[start + int(bad.argmax())]
+            raise ValueError(f"not a graceful permutation: {list(seq)}")
 
 
 def _check_constraint(n: int, constraint: Constraint) -> None:
@@ -338,6 +377,21 @@ class _Truncated(Exception):
     pass
 
 
+def _check_depth(n: int) -> None:
+    """Refuse a walk that would raise RecursionError: under ``_walk``'s
+    stack it adds n frames of ``rec``, then ``leaf`` and one below it, and
+    Python raises when the depth reaches the recursion limit."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    if depth + n + 2 >= limit:
+        raise ComputationRefused(
+            f"walk refused for n={n}: its {n + 2} frames on a stack of {depth} "
+            f"would reach the recursion limit {limit}"
+        )
+
+
 def _walk(n: int, constraint: Constraint, prune: bool, emit=None) -> int:
     """Depth-first walk of the search tree for ``n >= 2``, no folding.
 
@@ -346,6 +400,7 @@ def _walk(n: int, constraint: Constraint, prune: bool, emit=None) -> int:
     permutations satisfying the constraint; with ``emit``, also hands each
     label sequence to it, in a deterministic order.
     """
+    _check_depth(n)
     free = [2] * n
     forb = list(range(n))
     placed = [0] * n  # the edge labelled k joins placed[k] and placed[k] + k
@@ -365,18 +420,19 @@ def _walk(n: int, constraint: Constraint, prune: bool, emit=None) -> int:
         return forb[a] == b and k > 0
 
     def read_path(start: int) -> tuple[int, ...]:
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # link[v] is the xor of v's neighbours; an end has one, so the
+        # first step from it reads link[start] ^ 0.
+        link = [0] * n
         for k in range(1, n):
             u = placed[k]
-            adj[u].append(u + k)
-            adj[u + k].append(u)
+            link[u] ^= u + k
+            link[u + k] ^= u
         seq = [start]
-        prev = -1
+        prev = 0
         cur = start
         for _ in range(n - 1):
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            seq.append(nxt)
-            prev, cur = cur, nxt
+            prev, cur = cur, link[cur] ^ prev
+            seq.append(cur)
         return tuple(seq)
 
     def leaf() -> int:
@@ -451,14 +507,13 @@ def enumerate_graceful(
     _check_constraint(n, constraint)
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0")
-    out: list[GracefulPermutation] = []
-    result = EnumerationResult(out)
+    seqs: list[tuple[int, ...]] = []
+    truncated = False
 
     def emit(seq: tuple[int, ...]) -> None:
-        if limit is not None and len(out) >= limit:
-            result.truncated = True
+        if limit is not None and len(seqs) >= limit:
             raise _Truncated
-        out.append(GracefulPermutation(seq))
+        seqs.append(seq)
 
     try:
         if n == 1:
@@ -467,8 +522,9 @@ def enumerate_graceful(
         else:
             _walk(n, constraint, True, emit)
     except _Truncated:
-        pass
-    return result
+        truncated = True
+    _check_graceful(seqs)
+    return EnumerationResult(list(map(GracefulPermutation._checked, seqs)), truncated)
 
 
 # ---------------------------------------------------------------------------

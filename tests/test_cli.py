@@ -223,6 +223,13 @@ def test_enumerate_limit(capsys):
     assert "truncated" in err
 
 
+def test_enumerate_refuses_a_walk_past_the_recursion_limit(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "1100", "--limit", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("refused:") and "n=1100" in err
+
+
 def test_bound_certified(capsys):
     code, out, _ = run(capsys, "bound", "--m", "10", "--j", "5", "--threshold", "1.52")
     assert code == 0

@@ -8,12 +8,13 @@ counts are the published ones the engine must reproduce.
 from __future__ import annotations
 
 import itertools
+import random
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gracefulperms import search
@@ -1133,3 +1134,105 @@ def test_enumerate_is_deterministic():
     a = [p.seq for p in enumerate_graceful(8).permutations]
     b = [p.seq for p in enumerate_graceful(8).permutations]
     assert a == b
+
+
+def test_enumerate_limit_gives_prefixes():
+    # Odd limits cut an unconstrained leaf between its two readings.
+    for c in (None, OneEndpoint(3)):
+        full = [p.seq for p in enumerate_graceful(7, c).permutations]
+        for limit in range(len(full) + 2):
+            r = enumerate_graceful(7, c, limit=limit)
+            assert [p.seq for p in r.permutations] == full[:limit]
+            assert r.truncated is (limit < len(full))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerated_permutations_match_validated_ones(n):
+    for p in enumerate_graceful(n).permutations:
+        q = GracefulPermutation(p.seq)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert all(type(x) is int for x in p)
+
+
+def test_enumerate_rejects_a_non_graceful_walk(monkeypatch):
+    def walk(n, constraint, prune, emit):
+        emit((0, 1, 2))
+        return 1
+
+    monkeypatch.setattr(search, "_walk", walk)
+    with pytest.raises(ValueError) as exc:
+        enumerate_graceful(3)
+    assert str(exc.value) == "not a graceful permutation: [0, 1, 2]"
+
+
+_FAULTS = ("shuffle", "swap", "repeat", "high", "negative")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    rows=st.integers(0, 9000),
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.lists(st.tuples(st.integers(0, 8999), st.sampled_from(_FAULTS)), max_size=6),
+)
+@example(n=12, rows=9000, seed=1, faults=[(4096, "swap")])
+@example(n=9, rows=8193, seed=2, faults=[(4095, "high"), (8192, "negative")])
+@example(n=10, rows=8192, seed=3, faults=[(8191, "repeat")])
+@example(n=1, rows=5000, seed=4, faults=[(4500, "negative")])
+def test_block_check_matches_is_graceful(n, rows, seed, faults):
+    """Graceful rows, some made into shuffled permutations, swapped or
+    repeated labels, or labels out of range: the block check rejects
+    exactly what ``is_graceful`` rejects and names the first."""
+    rng = random.Random(seed)
+    good = _enumerated(n)
+    seqs = [good[rng.randrange(len(good))] for _ in range(rows)]
+    for i, kind in faults:
+        if i >= rows:
+            continue
+        row = list(seqs[i])
+        j, k = rng.randrange(n), rng.randrange(n)
+        if kind == "shuffle":
+            rng.shuffle(row)
+        elif kind == "swap":
+            row[j], row[k] = row[k], row[j]
+        elif kind == "repeat":
+            row[j] = row[k - 1 if k == j else k]
+        elif kind == "high":
+            row[j] = n + rng.randrange(3)
+        else:
+            row[j] = -1 - rng.randrange(3)
+        seqs[i] = tuple(row)
+    bad = [not is_graceful(s) for s in seqs]
+    step = search._CHECK_ROWS
+    for start in range(0, rows, step):
+        assert search._bad_rows(seqs[start : start + step]).tolist() == bad[start : start + step]
+    if True in bad:
+        with pytest.raises(ValueError) as exc:
+            search._check_graceful(seqs)
+        assert str(exc.value) == f"not a graceful permutation: {list(seqs[bad.index(True)])}"
+    else:
+        search._check_graceful(seqs)
+
+
+_ENUMERATED: dict[int, list[tuple[int, ...]]] = {}
+
+
+def _enumerated(n):
+    if n not in _ENUMERATED:
+        _ENUMERATED[n] = [p.seq for p in enumerate_graceful(n).permutations]
+    return _ENUMERATED[n]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: enumerate_graceful(990, limit=1), lambda: dfs_count(1100)],
+    ids=["enumerate_990", "dfs_count_1100"],
+)
+def test_walks_past_the_recursion_limit_are_refused(call):
+    with pytest.raises(ComputationRefused, match="recursion limit"):
+        call()
+
+
+def test_deep_walk_under_the_recursion_limit_runs():
+    (p,) = enumerate_graceful(200, limit=1).permutations
+    assert len(p) == 200 and is_graceful(p.seq)

@@ -1184,7 +1184,7 @@ def test_block_check_matches_is_graceful(n, rows, seed, faults):
     repeated labels, or labels out of range: the block check rejects
     exactly what ``is_graceful`` rejects and names the first."""
     rng = random.Random(seed)
-    good = _enumerated(n)
+    good = [p.seq for p in enumerate_graceful(n).permutations]
     seqs = [good[rng.randrange(len(good))] for _ in range(rows)]
     for i, kind in faults:
         if i >= rows:
@@ -1212,15 +1212,6 @@ def test_block_check_matches_is_graceful(n, rows, seed, faults):
         assert str(exc.value) == f"not a graceful permutation: {list(seqs[bad.index(True)])}"
     else:
         search._check_graceful(seqs)
-
-
-_ENUMERATED: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _enumerated(n):
-    if n not in _ENUMERATED:
-        _ENUMERATED[n] = [p.seq for p in enumerate_graceful(n).permutations]
-    return _ENUMERATED[n]
 
 
 @pytest.mark.parametrize(

@@ -26,8 +26,6 @@ from .search import (
     Constraint,
     CountResult,
     LevelStats,
-    OneEndpoint,
-    TwoEndpoints,
     count,
 )
 
@@ -52,10 +50,9 @@ __all__ = [
 
 MAGIC = b"GRACEFL1"
 VERSION = 1
-_HEADER = struct.Struct("<HHBBBHQ")  # version, n, tag, label a, label b, level, records
+# version, n, tag (the number of fixed labels), label a, label b, level, records
+_HEADER = struct.Struct("<HHBBBHQ")
 _MULT_BYTES = 16  # each multiplicity is a 128-bit little-endian integer
-
-_TAG_NONE, _TAG_ONE, _TAG_TWO = 0, 1, 2
 
 #: Default memory budget for the table command.
 DEFAULT_BUDGET_MB = 4096
@@ -74,30 +71,20 @@ class CheckpointHeader:
 
 
 def _constraint_tag(constraint: Constraint) -> tuple[int, int, int]:
-    if constraint is None:
-        return _TAG_NONE, 0, 0
-    if isinstance(constraint, OneEndpoint):
-        return _TAG_ONE, constraint.a, 0
-    return _TAG_TWO, constraint.a, constraint.b
+    ends = search._endpoints(constraint)
+    a, b = (*ends, 0, 0)[:2]
+    return len(ends), a, b
 
 
 def _constraint_from_tag(tag: int, a: int, b: int) -> Constraint:
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_ONE:
-        return OneEndpoint(a)
-    if tag == _TAG_TWO:
-        return TwoEndpoints(a, b)
-    raise CheckpointError(f"unknown constraint tag {tag}")
+    if tag > 2:
+        raise CheckpointError(f"unknown constraint tag {tag}")
+    return search._constraint((a, b)[:tag])
 
 
 def checkpoint_filename(n: int, constraint: Constraint, level: int) -> str:
-    if constraint is None:
-        spec = "none"
-    elif isinstance(constraint, OneEndpoint):
-        spec = f"e{constraint.a}"
-    else:
-        spec = f"e{constraint.a}-{constraint.b}"
+    ends = search._endpoints(constraint)
+    spec = "e" + "-".join(map(str, ends)) if ends else "none"
     return f"g{n}_{spec}_level{level:03d}.ckpt"
 
 
@@ -110,9 +97,13 @@ def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constrai
     holds either its previous content or the complete new file, never a
     part; the directory is synced after the rename, so that the new name
     survives a power loss.  On failure the temporary file is removed; an
-    ``OSError`` is raised as ``CheckpointError``.
+    ``OSError`` is raised as ``CheckpointError``.  Before any file is
+    opened, the constraint is checked against the map's n and against the
+    constraint the map was built for; a mismatch is ``CheckpointError``
+    and an object that is not a constraint ``TypeError``.
     """
     try:
+        search._check_constraint(cmap.n, constraint)
         search._check_built_for(cmap, constraint)
     except ValueError as e:
         raise CheckpointError(str(e)) from None
@@ -398,11 +389,10 @@ def format_ratios(rows: list[tuple[int, str]]) -> str:
 
 
 def constraint_json(constraint: Constraint):
-    if constraint is None:
+    ends = [operator.index(e) for e in search._endpoints(constraint)]
+    if not ends:
         return None
-    if isinstance(constraint, OneEndpoint):
-        return {"endpoint": operator.index(constraint.a)}
-    return {"endpoints": [operator.index(constraint.a), operator.index(constraint.b)]}
+    return {"endpoint": ends[0]} if len(ends) == 1 else {"endpoints": ends}
 
 
 def count_result_json(result: CountResult) -> dict:

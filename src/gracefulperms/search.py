@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import compress, islice, permutations
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -75,7 +75,9 @@ _ARRAY_MIN_ROWS = 16
 
 #: Parent rows the array path expands and groups at a time; bounds the
 #: expansion's working arrays.  Each block's grouped children are folded
-#: into the level as soon as the block is done (``_fold``).
+#: into the level as soon as the block is done (``_fold``).  Label
+#: sequences are checked for gracefulness (``_bad_rows``) this many at a
+#: time too.
 _BLOCK_ROWS = 4096
 
 #: About the most rows that one merge takes: a level being folded is kept
@@ -88,9 +90,6 @@ _MERGE_ROWS = 2**15
 #: Most rows one group may take; the 32-bit digit sums of more rows could
 #: wrap.
 _MAX_MERGE_ROWS = 2**32 - 1
-
-#: Enumerated sequences that ``_check_graceful`` checks at a time.
-_CHECK_ROWS = 4096
 
 #: Key rows that ``_orient`` translates at a time.  Its two temporary byte
 #: strings are this size: chunks of 4,096 rows already raised peak RSS, and
@@ -269,25 +268,10 @@ def _graceful_labels(seq: Sequence[int]) -> Optional[tuple[int, ...]]:
         labels = tuple(map(operator.index, seq))
     except TypeError:
         return None
-    labels_seen = 0
-    for x in labels:
-        if not 0 <= x < n:
-            return None
-        bit = 1 << x
-        if labels_seen & bit:
-            return None
-        labels_seen |= bit
-    diffs_seen = 0
-    prev = labels[0]
-    for cur in labels[1:]:
-        d = cur - prev
-        if d < 0:
-            d = -d
-        bit = 1 << d
-        if diffs_seen & bit:
-            return None
-        diffs_seen |= bit
-        prev = cur
+    if sorted(labels) != list(range(n)):
+        return None
+    if sorted(abs(b - a) for a, b in zip(labels, labels[1:])) != list(range(1, n)):
+        return None
     return labels
 
 
@@ -305,45 +289,50 @@ def _bad_rows(rows: Sequence[tuple[int, ...]]) -> np.ndarray:
 
 def _check_graceful(seqs: list[tuple[int, ...]]) -> None:
     """Raise ``GracefulPermutation``'s ValueError for the first sequence
-    that is not graceful, checking _CHECK_ROWS sequences at a time."""
-    for start in range(0, len(seqs), _CHECK_ROWS):
-        bad = _bad_rows(seqs[start : start + _CHECK_ROWS])
+    that is not graceful, checking _BLOCK_ROWS sequences at a time."""
+    for start in range(0, len(seqs), _BLOCK_ROWS):
+        bad = _bad_rows(seqs[start : start + _BLOCK_ROWS])
         if bad.any():
             seq = seqs[start + int(bad.argmax())]
             raise ValueError(f"not a graceful permutation: {list(seq)}")
 
 
-def _check_constraint(n: int, constraint: Constraint) -> None:
+def _endpoints(constraint: Constraint) -> tuple:
+    """The labels a constraint fixes: ``()``, ``(a,)`` or ``(a, b)``, the
+    first label before the last."""
     if constraint is None:
-        return
+        return ()
     if isinstance(constraint, OneEndpoint):
-        labels = (constraint.a,)
-    elif isinstance(constraint, TwoEndpoints):
-        labels = (constraint.a, constraint.b)
-    else:
-        raise TypeError(f"not a constraint: {constraint!r}")
-    for a in labels:
+        return (constraint.a,)
+    if isinstance(constraint, TwoEndpoints):
+        return (constraint.a, constraint.b)
+    raise TypeError(f"not a constraint: {constraint!r}")
+
+
+def _constraint(ends: Sequence[int]) -> Constraint:
+    """The constraint fixing ``ends``, the inverse of ``_endpoints``."""
+    if not ends:
+        return None
+    return OneEndpoint(*ends) if len(ends) == 1 else TwoEndpoints(*ends)
+
+
+def _check_constraint(n: int, constraint: Constraint) -> tuple:
+    """The labels ``constraint`` fixes, once ``n`` and they are checked."""
+    if n < 1:
+        raise ValueError(f"label count must be >= 1, got {n}")
+    ends = _endpoints(constraint)
+    for a in ends:
         try:
             operator.index(a)
         except TypeError:
             raise TypeError(f"endpoint label {a!r} is not an integer") from None
         if not 0 <= a < n:
             raise ValueError(f"endpoint label {a} out of range 0..{n - 1}")
+    return ends
 
 
-def _single_vertex_count(constraint: Constraint) -> int:
-    # The only 1-permutation is [0]; both its ends are the label 0.
-    if constraint is None or constraint == OneEndpoint(0) or constraint == TwoEndpoints(0, 0):
-        return 1
-    return 0
-
-
-def _matches_endpoints(seq: Sequence[int], constraint: Constraint) -> bool:
-    if constraint is None:
-        return True
-    if isinstance(constraint, OneEndpoint):
-        return seq[0] == constraint.a
-    return seq[0] == constraint.a and seq[-1] == constraint.b
+def _matches_endpoints(seq: Sequence[int], ends: tuple) -> bool:
+    return all(seq[i] == e for i, e in zip((0, -1), ends))
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +342,23 @@ def _matches_endpoints(seq: Sequence[int], constraint: Constraint) -> bool:
 
 @lru_cache(maxsize=None)
 def _all_graceful_brute(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(p for p in permutations(range(n)) if is_graceful(p))
+    """The graceful permutations of n labels in lexicographic order, from
+    every permutation checked _BLOCK_ROWS at a time."""
+    perms = permutations(range(n))
+    out = []
+    while block := list(islice(perms, _BLOCK_ROWS)):
+        out += compress(block, ~_bad_rows(block))
+    return tuple(out)
 
 
 def brute_force_count(n: int, constraint: Constraint = None) -> int:
     """Count by filtering every permutation; refuses n past the guard."""
-    if n < 1:
-        raise ValueError(f"label count must be >= 1, got {n}")
     if n > BRUTE_FORCE_LIMIT:
         raise ComputationRefused(
             f"brute force refused for n={n}: guard is n <= {BRUTE_FORCE_LIMIT}"
         )
-    _check_constraint(n, constraint)
-    return sum(1 for p in _all_graceful_brute(n) if _matches_endpoints(p, constraint))
+    ends = _check_constraint(n, constraint)
+    return sum(1 for p in _all_graceful_brute(n) if _matches_endpoints(p, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +481,9 @@ def dfs_count(n: int, constraint: Constraint = None, *, prune: bool = True) -> i
     Applies the same terminal constraint semantics as ``finalize``; with
     ``prune``, subtrees that cannot satisfy the constraint are skipped.
     """
-    if n < 1:
-        raise ValueError(f"label count must be >= 1, got {n}")
     _check_constraint(n, constraint)
-    if n == 1:
-        return _single_vertex_count(constraint)
+    if n == 1:  # [0], whose ends are both 0, is every constraint's match
+        return 1
     return _walk(n, constraint, prune)
 
 
@@ -502,8 +493,6 @@ def enumerate_graceful(
     """All graceful permutations under the constraint, each exactly once,
     in a deterministic order; stops with ``truncated`` set once ``limit``
     permutations have been collected."""
-    if n < 1:
-        raise ValueError(f"label count must be >= 1, got {n}")
     _check_constraint(n, constraint)
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0")
@@ -517,8 +506,7 @@ def enumerate_graceful(
 
     try:
         if n == 1:
-            if _single_vertex_count(constraint):
-                emit((0,))
+            emit((0,))
         else:
             _walk(n, constraint, True, emit)
     except _Truncated:
@@ -678,7 +666,8 @@ def _dead_tests(n: int, level: int, constraint: Constraint):
     with the edge's writes applied.  ``finalize`` and the per-key loop
     apply them to canonical keys.
     """
-    if constraint is None:
+    ends = _endpoints(constraint)
+    if not ends:
         return None
 
     def tests(*ends):
@@ -691,12 +680,7 @@ def _dead_tests(n: int, level: int, constraint: Constraint):
                 out.append((a, b + 1, b + 1))
         return out
 
-    last = n - 1
-    if isinstance(constraint, OneEndpoint):
-        ends = (constraint.a,)
-    else:
-        ends = (constraint.a, constraint.b)
-    return tests(*ends), tests(*(last - e for e in ends))
+    return tests(*ends), tests(*(n - 1 - e for e in ends))
 
 
 def _dead_rows(columns, tests) -> np.ndarray:
@@ -1100,15 +1084,12 @@ def count(
     ``on_level`` is called after every completed level.
     """
     t0 = time.perf_counter()
-    if n < 1:
-        raise ValueError(f"label count must be >= 1, got {n}")
     _check_constraint(n, constraint)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if n == 1:
-        value = _single_vertex_count(constraint)
+    if n == 1:  # as in dfs_count
         stats = (LevelStats(0, 1, 1, 0.0),)
-        return CountResult(n, constraint, value, stats, time.perf_counter() - t0)
+        return CountResult(n, constraint, 1, stats, time.perf_counter() - t0)
 
     if initial is not None:
         if initial.n != n:

@@ -45,6 +45,12 @@ def test_count_json(capsys):
     assert len(doc["levels"]) == 20
 
 
+@pytest.mark.parametrize("args,expected", [((), None), (("--endpoint", "3"), {"endpoint": 3})])
+def test_count_json_names_the_constraint(capsys, args, expected):
+    code, out, _ = run(capsys, "count", "--n", "7", *args, "--format", "json")
+    assert code == 0 and json.loads(out)["constraint"] == expected
+
+
 def test_count_stats_lines(capsys):
     code, out, _ = run(capsys, "count", "--n", "7", "--stats")
     assert code == 0

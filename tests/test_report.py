@@ -215,6 +215,21 @@ def test_checkpoint_binary_layout(tmp_path):
     assert len(blob) == 61
 
 
+@pytest.mark.parametrize(
+    "c,fields",
+    [(None, (0, 0, 0)), (OneEndpoint(3), (1, 3, 0)), (TwoEndpoints(5, 15), (2, 5, 15))],
+    ids=str,
+)
+def test_checkpoint_header_holds_the_constraint_literally(tmp_path, c, fields):
+    """The header's tag is the number of fixed labels, which follow it; an
+    unfixed label is 0."""
+    m = _level_map(20, 17, c)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path, c)
+    assert path.read_bytes()[8:25] == struct.pack("<HHBBBHQ", 1, 20, *fields, 17, len(m.keys))
+    assert read_checkpoint_header(path).constraint == c
+
+
 def _whole_level_bytes(cmap, constraint):
     """A checkpoint built in one piece, as the format describes it: the
     header, then every record's two-byte key and little-endian limbs."""
@@ -240,6 +255,31 @@ def test_streamed_save_matches_the_whole_level_bytes(tmp_path, monkeypatch, n, c
         for m in levels:
             save_checkpoint(m, path, c)
             assert path.read_bytes() == _whole_level_bytes(m, c)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "c,error,message",
+    [
+        (OneEndpoint(8), CheckpointError, "endpoint label 8 out of range 0..7"),
+        (OneEndpoint(300), CheckpointError, "endpoint label 300 out of range 0..7"),
+        (TwoEndpoints(-1, 2), CheckpointError, "endpoint label -1 out of range 0..7"),
+        ("x", TypeError, "not a constraint: 'x'"),
+    ],
+    ids=["one_end_8", "one_end_300", "two_ends_-1_2", "not_a_constraint"],
+)
+def test_save_refuses_a_constraint_the_map_cannot_hold(tmp_path, c, error, message):
+    """A constraint outside the map's labels, which would write a file that
+    no load accepts or fail half-way, is refused before any file is opened;
+    the file at the path stays as it was."""
+    m = _level_map(8, 4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    before = path.read_bytes()
+    with pytest.raises(error) as exc:
+        save_checkpoint(m, path, c)
+    assert str(exc.value) == message
+    assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
@@ -678,6 +718,7 @@ def test_checkpoint_refuses_label_counts_out_of_range(tmp_path, n):
         (8, 2, 1, 8, 3, "endpoint label 8 out of range 0..7"),
         (8, 1, 9, 0, 3, "endpoint label 9 out of range 0..7"),
         (0, 0, 0, 0, 0, "label count 0 out of range"),
+        (8, 3, 1, 5, 3, "unknown constraint tag 3"),
     ],
 )
 def test_empty_checkpoints_with_a_bad_header_are_refused(tmp_path, n, tag, a, b, level, message):

@@ -718,6 +718,13 @@ def test_every_route_refuses_a_label_that_is_not_an_integer(constraint):
             route(5, constraint)
 
 
+def test_every_route_refuses_what_is_not_a_constraint():
+    for route in (brute_force_count, dfs_count, count, enumerate_graceful):
+        with pytest.raises(TypeError) as exc:
+            route(5, "x")
+        assert str(exc.value) == "not a constraint: 'x'"
+
+
 def test_numpy_integer_labels_are_accepted():
     c = TwoEndpoints(np.int64(0), np.int64(3))
     assert count(6, c).count == count(6, TwoEndpoints(0, 3)).count == 1
@@ -1203,7 +1210,7 @@ def test_block_check_matches_is_graceful(n, rows, seed, faults):
             row[j] = -1 - rng.randrange(3)
         seqs[i] = tuple(row)
     bad = [not is_graceful(s) for s in seqs]
-    step = search._CHECK_ROWS
+    step = search._BLOCK_ROWS
     for start in range(0, rows, step):
         assert search._bad_rows(seqs[start : start + step]).tolist() == bad[start : start + step]
     if True in bad:
@@ -1212,6 +1219,20 @@ def test_block_check_matches_is_graceful(n, rows, seed, faults):
         assert str(exc.value) == f"not a graceful permutation: {list(seqs[bad.index(True)])}"
     else:
         search._check_graceful(seqs)
+
+
+@pytest.mark.parametrize("block_rows", [7, 4096])
+def test_block_filtered_oracle_matches_is_graceful(monkeypatch, block_rows):
+    """The brute-force oracle checks permutations a block at a time; at any
+    block size it keeps exactly those ``is_graceful`` accepts, in order."""
+    monkeypatch.setattr(search, "_BLOCK_ROWS", block_rows)
+    search._all_graceful_brute.cache_clear()
+    try:
+        for n in range(1, 9):
+            expected = tuple(p for p in itertools.permutations(range(n)) if is_graceful(p))
+            assert search._all_graceful_brute(n) == expected
+    finally:
+        search._all_graceful_brute.cache_clear()
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Optional, Union
+from typing import Union
 
 from .search import (
     ComputationRefused,
@@ -52,7 +52,6 @@ class BoundResult:
     j: int
     count: int
     gamma: float
-    certified_threshold: Optional[Decimal] = None
     zero_count: bool = False
 
 
@@ -168,9 +167,7 @@ def gamma_value(cnt: int, two_m: int) -> float:
 def gamma(m: int, j: int) -> BoundResult:
     """Count (2m; j, j+m)-permutations and extract the growth base."""
     cnt = count(2 * m, TwoEndpoints(j, j + m)).count
-    if cnt == 0:
-        return BoundResult(m, j, 0, 0.0, zero_count=True)
-    return BoundResult(m, j, cnt, gamma_value(cnt, 2 * m))
+    return BoundResult(m, j, cnt, gamma_value(cnt, 2 * m), zero_count=cnt == 0)
 
 
 def _threshold_parts(threshold: Union[str, float, int, Decimal]) -> tuple[int, int]:

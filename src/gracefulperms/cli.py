@@ -33,14 +33,10 @@ def _int_at_least(low: int):
 
 
 def _decimal_arg(text: str) -> str:
-    from decimal import Decimal, InvalidOperation
-
     try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}")
-    if not value.is_finite() or value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative decimal, got {text!r}")
+        bounds._threshold_parts(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return text
 
 
@@ -53,27 +49,24 @@ def _add_endpoint_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _parse_constraint(args, n: int, parser: argparse.ArgumentParser):
-    if getattr(args, "endpoint", None) is not None:
-        a = args.endpoint
-        if a >= n:
-            parser.error(f"argument --endpoint: label {a} out of range 0..{n - 1}")
-        return OneEndpoint(a)
-    spec = getattr(args, "endpoints", None)
-    if spec is not None:
+    flag, ends = "--endpoint", ()
+    if args.endpoint is not None:
+        ends = (args.endpoint,)
+    elif args.endpoints is not None:
+        flag, spec = "--endpoints", args.endpoints
         parts = spec.split(",")
         if len(parts) != 2:
             parser.error(f"argument --endpoints: expected 'A,B', got {spec!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            ends = (int(parts[0]), int(parts[1]))
         except ValueError:
             parser.error(f"argument --endpoints: expected two integers, got {spec!r}")
-        for label in (a, b):
-            if not 0 <= label < n:
-                parser.error(
-                    f"argument --endpoints: label {label} out of range 0..{n - 1}"
-                )
-        return TwoEndpoints(a, b)
-    return None
+    constraint = search._constraint(ends)
+    try:
+        search._check_constraint(n, constraint)
+    except ValueError as exc:
+        parser.error(f"argument {flag}: {exc}")
+    return constraint
 
 
 def _load_resume_map(ckdir: Path, n: int, constraint):

@@ -103,8 +103,7 @@ def save_checkpoint(cmap: ClassMap, path: Union[str, Path], constraint: Constrai
     and an object that is not a constraint ``TypeError``.
     """
     try:
-        search._check_constraint(cmap.n, constraint)
-        search._check_built_for(cmap, constraint)
+        search._check_map(cmap, constraint)
     except ValueError as e:
         raise CheckpointError(str(e)) from None
     n, rows = cmap.n, len(cmap.keys)

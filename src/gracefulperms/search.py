@@ -31,12 +31,10 @@ import multiprocessing
 import operator
 import sys
 import time
-from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice, permutations
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,7 +44,6 @@ __all__ = [
     "OneEndpoint",
     "TwoEndpoints",
     "Constraint",
-    "MultiplicityPair",
     "ClassMap",
     "LevelStats",
     "CountResult",
@@ -129,13 +126,6 @@ class TwoEndpoints:
 Constraint = Union[None, OneEndpoint, TwoEndpoints]
 
 
-class MultiplicityPair(NamedTuple):
-    """Exact class-member counts, split by stored orientation."""
-
-    direct: int
-    reflected: int
-
-
 @dataclass(eq=False)
 class ClassMap:
     """All equivalence classes on one level.
@@ -169,12 +159,14 @@ class ClassMap:
         return _limb_sum(self.mult)
 
     @property
-    def entries(self) -> Mapping[bytes, MultiplicityPair]:
-        """Read-only ``{key: MultiplicityPair}`` view with two-byte keys."""
+    def entries(self) -> _Entries:
+        """The two-byte checkpoint keys, in key order."""
         return _Entries(self)
 
 
-class _Entries(Mapping):
+class _Entries:
+    """``len`` and key iteration of a map; ``len`` does not widen the keys."""
+
     def __init__(self, cmap: ClassMap) -> None:
         self._map = cmap
 
@@ -183,18 +175,6 @@ class _Entries(Mapping):
 
     def __iter__(self):
         return (row.tobytes() for row in _widen(self._map.keys))
-
-    def __getitem__(self, key: bytes) -> MultiplicityPair:
-        keys = self._map.keys
-        wide = np.frombuffer(key, dtype=np.uint8).reshape(1, -1)
-        if wide.shape[1] != 2 * self._map.n:
-            raise KeyError(key)
-        row = _compact(wide)
-        i = bisect_left(range(len(keys)), row.tobytes(), key=lambda j: keys[j].tobytes())
-        if i == len(keys) or not np.array_equal(_widen(keys[i : i + 1]), wide):
-            raise KeyError(key)
-        dlo, dhi, rlo, rhi = self._map.mult[i].tolist()
-        return MultiplicityPair(dlo | dhi << 64, rlo | rhi << 64)
 
 
 @dataclass(frozen=True)
@@ -994,7 +974,10 @@ def _expand_keys(n, k, keys, mult, dead):
     return out, _limbs(acc[key] for key in order)
 
 
-def _check_built_for(cmap: ClassMap, constraint: Constraint) -> None:
+def _check_map(cmap: ClassMap, constraint: Constraint) -> None:
+    """Check ``constraint`` against the map's n and against the constraint
+    the map was built for; a map built for None serves every constraint."""
+    _check_constraint(cmap.n, constraint)
     if cmap.constraint is not None and cmap.constraint != constraint:
         raise ValueError(f"map was built for {cmap.constraint!r}, not {constraint!r}")
 
@@ -1023,7 +1006,7 @@ def _expand(cmap: ClassMap, constraint: Constraint, prune: bool, mapper) -> Clas
     ``Pool.imap`` hands the workers' blocks back in order as they finish."""
     if cmap.level < 1:
         raise ValueError(f"cannot expand a terminal map (level {cmap.level})")
-    _check_built_for(cmap, constraint)
+    _check_map(cmap, constraint)
     n, k = cmap.n, cmap.level
     dead = _dead_tests(n, k - 1, constraint) if prune else None
     rows = len(cmap.keys)
@@ -1050,7 +1033,7 @@ def finalize(cmap: ClassMap, constraint: Constraint = None) -> int:
     """
     if cmap.level != 0:
         raise ValueError(f"finalize needs a terminal map, got level {cmap.level}")
-    _check_built_for(cmap, constraint)
+    _check_map(cmap, constraint)
     dead = _dead_tests(cmap.n, 0, constraint)
     if dead is None:
         return 2 * cmap.node_sum()

@@ -169,6 +169,12 @@ def test_usage_errors(capsys):
     assert code == 2 and "--endpoints" in err
     code, _, err = run(capsys, "count", "--n", "7", "--endpoints", "1,2,3")
     assert code == 2 and "--endpoints" in err
+    code, _, err = run(capsys, "count", "--n", "7", "--endpoints", "1,7")
+    assert code == 2 and "argument --endpoints:" in err
+    code, _, err = run(capsys, "count", "--n", "7", "--endpoints=-1,2")
+    assert code == 2 and "argument --endpoints:" in err
+    code, _, err = run(capsys, "enumerate", "--n", "7", "--endpoint", "7")
+    assert code == 2 and "argument --endpoint:" in err
     code, _, err = run(capsys, "count", "--n", "0")
     assert code == 2 and "--n" in err
     code, _, err = run(capsys, "count", "--n", "7", "--endpoint", "1", "--endpoints", "0,6")
@@ -187,6 +193,9 @@ def test_usage_errors(capsys):
     assert code == 2 and "--to" in err
     code, _, err = run(capsys, "bound", "--m", "2", "--j", "1", "--threshold", "abc")
     assert code == 2 and "--threshold" in err
+    for threshold in ("inf", "-1"):
+        code, _, err = run(capsys, "bound", "--m", "3", "--j", "1", "--threshold", threshold)
+        assert code == 2 and "argument --threshold:" in err
 
 
 def test_table(capsys):

@@ -32,13 +32,13 @@ import numpy as np
 from gracefulperms.search import (
     ClassMap,
     ComputationRefused,
-    MultiplicityPair,
     OneEndpoint,
     TwoEndpoints,
     count,
     expand_level,
     root_map,
 )
+import limbs
 
 
 def _one_byte_key(key):
@@ -55,8 +55,8 @@ def _one_byte_key(key):
 
 def _class_map(n, level, entries):
     """A ClassMap holding exactly these {key: (direct, reflected)} records,
-    with two-byte keys and multiplicities as Python ints; the limb helper
-    refuses values below 0 or of 2**128 and more."""
+    with two-byte keys and multiplicities as tuples of Python ints; the
+    limb helper refuses values below 0 or of 2**128 and more."""
     keys = sorted(entries)
     return ClassMap(
         n,
@@ -187,7 +187,7 @@ def test_checkpoint_round_trip_entrywise(tmp_path):
     save_checkpoint(m, path)
     back = load_checkpoint(path, expect_n=7, expect_constraint=None)
     assert back.n == m.n and back.level == m.level
-    assert back.entries == m.entries
+    assert np.array_equal(back.keys, m.keys) and np.array_equal(back.mult, m.mult)
 
 
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
@@ -395,7 +395,7 @@ def test_checkpoint_header_read(tmp_path):
     path = tmp_path / "h.ckpt"
     save_checkpoint(m, path, c)
     h = read_checkpoint_header(path)
-    assert (h.n, h.constraint, h.level, h.records) == (8, c, 4, len(m.entries))
+    assert (h.n, h.constraint, h.level, h.records) == (8, c, 4, len(m.keys))
 
 
 def test_loaded_checkpoint_carries_its_constraint(tmp_path):
@@ -479,7 +479,7 @@ def test_checkpoint_rejects_denormalized_records(tmp_path):
 
     key = bytes([1, 1, 1, 0, 2, 0xFF, 0, 0xFF])
     assert complement_key(key) < key
-    save_checkpoint(_class_map(4, decode(key).next_edge_label, {key: MultiplicityPair(1, 0)}), path)
+    save_checkpoint(_class_map(4, decode(key).next_edge_label, {key: (1, 0)}), path)
     with pytest.raises(CheckpointError, match="canonical orientation"):
         load_checkpoint(path)
 
@@ -487,18 +487,19 @@ def test_checkpoint_rejects_denormalized_records(tmp_path):
 def test_checkpoint_rejects_invalid_records(tmp_path):
     # zero multiplicity
     key = bytes([1, 1, 1, 0])
-    m = _class_map(2, 0, {key: MultiplicityPair(0, 0)})
+    m = _class_map(2, 0, {key: (0, 0)})
     path = tmp_path / "z.ckpt"
     save_checkpoint(m, path)
     with pytest.raises(CheckpointError, match="zero multiplicity"):
         load_checkpoint(path)
     # reflected count on a self-complementary key
-    m = _class_map(2, 0, {key: MultiplicityPair(1, 1)})
+    m = _class_map(2, 0, {key: (1, 1)})
     save_checkpoint(m, path)
     with pytest.raises(CheckpointError, match="self-complementary"):
         load_checkpoint(path)
     # record level disagreeing with the header
-    wrong = _class_map(3, 0, dict(_level_map(3, 1).entries))
+    level = _level_map(3, 1)
+    wrong = ClassMap(3, 0, level.keys, level.mult)
     save_checkpoint(wrong, path)
     with pytest.raises(CheckpointError, match="level"):
         load_checkpoint(path)
@@ -509,16 +510,17 @@ def test_class_maps_refuse_multiplicities_outside_128_bits(tmp_path):
     through a checkpoint, and anything outside the range is refused."""
     key = bytes([1, 1, 1, 0])
     top = (1 << 128) - 1
-    m = _class_map(2, 0, {key: MultiplicityPair(top, 0)})
+    m = _class_map(2, 0, {key: (top, 0)})
     assert m.mult.dtype == np.uint64 and m.mult.tolist() == [[2**64 - 1] * 2 + [0, 0]]
     save_checkpoint(m, tmp_path / "o.ckpt")
-    assert load_checkpoint(tmp_path / "o.ckpt").entries == {key: (top, 0)}
+    back = load_checkpoint(tmp_path / "o.ckpt")
+    assert (back.keys.tobytes(), limbs.pairs(back.mult)) == (_one_byte_key(key), [(top, 0)])
     with pytest.raises(search.MultiplicityOverflow, match="128 bits"):
-        _class_map(2, 0, {key: MultiplicityPair(1 << 128, 0)})
+        _class_map(2, 0, {key: (1 << 128, 0)})
     with pytest.raises(search.MultiplicityOverflow, match="128 bits"):
-        _class_map(2, 0, {key: MultiplicityPair(1, top + 1)})
+        _class_map(2, 0, {key: (1, top + 1)})
     with pytest.raises(ValueError, match="negative"):
-        _class_map(2, 0, {key: MultiplicityPair(-1, 0)})
+        _class_map(2, 0, {key: (-1, 0)})
 
 
 def test_checkpoint_filenames():
@@ -752,6 +754,6 @@ def test_engine_levels_load_through_the_reference(tmp_path, n, c):
         save_checkpoint(m, path, c)
         keys, pairs = _reference_load(path)
         assert keys == b"".join(m.entries) == b"".join(_two_byte_key(r.tobytes()) for r in m.keys)
-        assert pairs == [list(p) for p in m.entries.values()]
+        assert pairs == [list(p) for p in limbs.pairs(m.mult)]
         assert _array_load(path) == (keys, pairs)
     assert result.count == search.dfs_count(n, c)

@@ -22,7 +22,6 @@ from gracefulperms.search import (
     ClassMap,
     ComputationRefused,
     GracefulPermutation,
-    MultiplicityPair,
     OneEndpoint,
     TwoEndpoints,
     brute_force_count,
@@ -44,6 +43,7 @@ from gracefulperms.state import (
     encode,
     new_root,
 )
+from limbs import pairs
 
 
 def all_constraints(n):
@@ -132,7 +132,7 @@ def test_dfs_prune_toggle(n):
 def test_root_map_shape():
     m = root_map(7)
     assert m.level == 6
-    assert list(m.entries.values()) == [MultiplicityPair(1, 0)]
+    assert pairs(m.mult) == [(1, 0)]
 
 
 def test_label_counts_past_the_key_byte_are_refused():
@@ -171,19 +171,19 @@ def test_expand_after_first_edge_folds_complement_children():
     class carrying one direct and one reflected member (node sum 2)."""
     m = expand_level(root_map(7))  # the path 0-6, self-complementary
     assert m.level == 5
-    assert len(m.entries) == 1
-    assert list(m.entries.values()) == [MultiplicityPair(1, 0)]
+    assert len(m.keys) == 1
+    assert pairs(m.mult) == [(1, 0)]
     m = expand_level(m)
     assert m.level == 4
-    assert len(m.entries) == 1
-    assert list(m.entries.values()) == [MultiplicityPair(1, 1)]
+    assert len(m.keys) == 1
+    assert pairs(m.mult) == [(1, 1)]
     assert m.node_sum() == 2
 
 
 def test_expand_single_edge_graph():
     m = expand_level(root_map(2))
     assert m.level == 0
-    assert list(m.entries.values()) == [MultiplicityPair(1, 0)]
+    assert pairs(m.mult) == [(1, 0)]
 
 
 def test_terminal_node_sum_for_seven_labels():
@@ -637,7 +637,7 @@ def test_self_complementary_add_raises_at_2_128(monkeypatch, array_min_rows):
     for d, r, fits in cases:
         m = ClassMap(6, 5, root.keys, search._limbs([(d, r)]))
         if fits:
-            assert list(expand_level(m).entries.values()) == [(d + r, 0)]
+            assert pairs(expand_level(m).mult) == [(d + r, 0)]
         else:
             with pytest.raises(search.MultiplicityOverflow, match="128"):
                 expand_level(m)
@@ -647,8 +647,9 @@ def test_self_complementary_entries_have_zero_reflected():
     m = root_map(9)
     while m.level > 0:
         m = expand_level(m)
-        for key, (d, r) in m.entries.items():
+        for row, (d, r) in zip(search._widen(m.keys), pairs(m.mult), strict=True):
             assert d + r >= 1
+            key = row.tobytes()
             if complement_key(key) == key:
                 assert r == 0
 
@@ -723,6 +724,34 @@ def test_every_route_refuses_what_is_not_a_constraint():
         with pytest.raises(TypeError) as exc:
             route(5, "x")
         assert str(exc.value) == "not a constraint: 'x'"
+
+
+@pytest.mark.parametrize(
+    "step,constraint,error,message",
+    [
+        ("finalize", OneEndpoint(-1), ValueError, "endpoint label -1 out of range 0..6"),
+        ("finalize", OneEndpoint(9), ValueError, "endpoint label 9 out of range 0..6"),
+        ("expand", OneEndpoint(-1), ValueError, "endpoint label -1 out of range 0..6"),
+        ("expand", TwoEndpoints(1, 7), ValueError, "endpoint label 7 out of range 0..6"),
+        ("expand", "x", TypeError, "not a constraint: 'x'"),
+    ],
+    ids=["finalize_-1", "finalize_9", "expand_-1", "expand_1_7", "expand_x"],
+)
+def test_step_functions_check_their_constraint(step, constraint, error, message):
+    """``expand_level`` and ``finalize`` check their constraint as
+    ``count`` does, with or without pruning: no IndexError from the
+    pruning tests' lookups and no map built for what is not a constraint."""
+    m = root_map(7)
+    if step == "finalize":
+        while m.level > 0:
+            m = expand_level(m)
+        calls = [lambda: finalize(m, constraint)]
+    else:
+        calls = [lambda p=p: expand_level(m, constraint, prune=p) for p in (True, False)]
+    for call in calls:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_numpy_integer_labels_are_accepted():

@@ -170,19 +170,15 @@ def gamma(m: int, j: int) -> BoundResult:
     return BoundResult(m, j, cnt, gamma_value(cnt, 2 * m), zero_count=cnt == 0)
 
 
-def _threshold_parts(threshold: Union[str, float, int, Decimal]) -> tuple[int, int]:
-    """Decompose a decimal threshold into (numerator, scale): p / 10**s."""
+def _threshold(threshold: Union[str, float, int, Decimal]) -> Decimal:
+    """A threshold as a non-negative finite ``Decimal``."""
     try:
         dec = threshold if isinstance(threshold, Decimal) else Decimal(str(threshold))
     except InvalidOperation:
         raise ValueError(f"not a decimal threshold: {threshold!r}") from None
     if not dec.is_finite() or dec < 0:
         raise ValueError("threshold must be a non-negative finite decimal")
-    sign, digits, exponent = dec.as_tuple()
-    p = int("".join(map(str, digits)))
-    if exponent >= 0:
-        return p * 10 ** exponent, 0
-    return p, -exponent
+    return dec
 
 
 def certify_bound(
@@ -191,12 +187,27 @@ def certify_bound(
     """True iff cnt**(1/exponent) strictly exceeds the decimal threshold.
 
     Evaluated as cnt * 10**(s*exponent) > p**exponent over exact integers,
-    where threshold = p / 10**s.
+    where threshold = p / 10**s.  A count below 1, a threshold below 1
+    and a threshold of at least 10**d, where cnt has d digits, are settled
+    first without a power, so a threshold's decimal exponent cannot make
+    the work unbounded: any other threshold lies in 1..10**d.
     """
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
-    p, s = _threshold_parts(threshold)
-    return cnt * (10 ** s) ** exponent > p ** exponent
+    dec = _threshold(threshold)
+    if cnt < 1:
+        return False
+    if dec < 1:
+        return True
+    if dec.adjusted() > Decimal(cnt).adjusted():  # dec >= 10**d > cnt >= its root
+        return False
+    _, digits, shift = dec.as_tuple()
+    # Through Decimal: int() of a string refuses more than
+    # sys.get_int_max_str_digits() digits, 4,300 by default.
+    p = int(Decimal((0, digits, 0)))
+    if shift >= 0:
+        return cnt > (p * 10**shift) ** exponent
+    return cnt * (10**-shift) ** exponent > p**exponent
 
 
 def build_witness(m: int, j: int, r: int, iterations: int = 1) -> GracefulPermutation:

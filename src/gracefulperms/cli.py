@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import bounds, report, search
@@ -32,12 +33,11 @@ def _int_at_least(low: int):
     return parse
 
 
-def _decimal_arg(text: str) -> str:
+def _decimal_arg(text: str) -> Decimal:
     try:
-        bounds._threshold_parts(text)
+        return bounds._threshold(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return text
 
 
 def _add_endpoint_flags(sub: argparse.ArgumentParser) -> None:

@@ -143,9 +143,6 @@ def _fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-_UNSET = object()
-
-
 def read_checkpoint_header(path: Union[str, Path]) -> CheckpointHeader:
     try:
         with open(path, "rb") as fh:
@@ -174,20 +171,22 @@ def read_checkpoint_header(path: Union[str, Path]) -> CheckpointHeader:
 def load_checkpoint(
     path: Union[str, Path],
     *,
-    expect_n: Optional[int] = None,
-    expect_constraint=_UNSET,
+    expect_n: int,
+    expect_constraint: Constraint,
 ) -> ClassMap:
     """Read a class map back, validating structure and every record.
 
-    Records are read and checked as arrays, ``search._BLOCK_ROWS`` at a
+    The file must hold ``expect_n`` labels and have been saved for
+    ``expect_constraint``, the computation the map is to feed.  Records
+    are read and checked as arrays, ``search._BLOCK_ROWS`` at a
     time, with the state rule that ``count(initial=)`` also applies; the
     first failing record is checked again one check at a time, and the
     error names it and the first check it fails.
     """
     header = read_checkpoint_header(path)
-    if expect_n is not None and header.n != expect_n:
+    if header.n != expect_n:
         raise CheckpointError(f"{path}: holds n={header.n}, expected n={expect_n}")
-    if expect_constraint is not _UNSET and header.constraint != expect_constraint:
+    if header.constraint != expect_constraint:
         raise CheckpointError(
             f"{path}: holds constraint {header.constraint!r}, "
             f"expected {expect_constraint!r}"
@@ -336,20 +335,19 @@ def build_table(
     from_n: int,
     to_n: int,
     *,
-    budget_mb: Optional[int] = DEFAULT_BUDGET_MB,
+    budget_mb: int = DEFAULT_BUDGET_MB,
 ) -> list[tuple[int, int]]:
     """G(n) for n in from_n..to_n via the folded BFS."""
     if from_n < 1:
         raise ValueError("table start must be >= 1")
     if to_n < from_n:
         raise ValueError("table end must be >= start")
-    if budget_mb is not None:
-        need = estimated_level_bytes(to_n)
-        if need > budget_mb * 1024 * 1024:
-            raise ComputationRefused(
-                f"n={to_n} is estimated to need {need // (1024 * 1024)} MiB of class "
-                f"storage, over the budget of {budget_mb} MiB"
-            )
+    need = estimated_level_bytes(to_n)
+    if need > budget_mb * 1024 * 1024:
+        raise ComputationRefused(
+            f"n={to_n} is estimated to need {need // (1024 * 1024)} MiB of class "
+            f"storage, over the budget of {budget_mb} MiB"
+        )
     return [(n, count(n).count) for n in range(from_n, to_n + 1)]
 
 

@@ -365,7 +365,7 @@ def _check_depth(n: int) -> None:
         )
 
 
-def _walk(n: int, constraint: Constraint, prune: bool, emit=None) -> int:
+def _walk(n: int, constraint: Constraint, emit=None) -> int:
     """Depth-first walk of the search tree for ``n >= 2``, no folding.
 
     One state (slot counts, endpoint pairing, placed edges) is edited in
@@ -417,8 +417,6 @@ def _walk(n: int, constraint: Constraint, prune: bool, emit=None) -> int:
                 emit(seq)
                 emit(seq[::-1])
             return 2
-        if dead(0):
-            return 0
         if emit is not None:
             emit(read_path(constraint.a))
         return 1
@@ -440,7 +438,7 @@ def _walk(n: int, constraint: Constraint, prune: bool, emit=None) -> int:
             if free[v] == 0:
                 forb[v] = v
             placed[k] = u
-            if not (prune and dead(k - 1)):
+            if not dead(k - 1):
                 total += rec(k - 1)
             free[u] += 1
             free[v] += 1
@@ -455,16 +453,16 @@ def _walk(n: int, constraint: Constraint, prune: bool, emit=None) -> int:
     return rec(n - 1)
 
 
-def dfs_count(n: int, constraint: Constraint = None, *, prune: bool = True) -> int:
+def dfs_count(n: int, constraint: Constraint = None) -> int:
     """Count by walking the search tree node by node, without folding.
 
-    Applies the same terminal constraint semantics as ``finalize``; with
-    ``prune``, subtrees that cannot satisfy the constraint are skipped.
+    Applies the same terminal constraint semantics as ``finalize``;
+    subtrees that cannot satisfy the constraint are skipped.
     """
     _check_constraint(n, constraint)
     if n == 1:  # [0], whose ends are both 0, is every constraint's match
         return 1
-    return _walk(n, constraint, prune)
+    return _walk(n, constraint)
 
 
 def enumerate_graceful(
@@ -488,7 +486,7 @@ def enumerate_graceful(
         if n == 1:
             emit((0,))
         else:
-            _walk(n, constraint, True, emit)
+            _walk(n, constraint, emit)
     except _Truncated:
         truncated = True
     _check_graceful(seqs)
@@ -982,25 +980,20 @@ def _check_map(cmap: ClassMap, constraint: Constraint) -> None:
         raise ValueError(f"map was built for {cmap.constraint!r}, not {constraint!r}")
 
 
-def expand_level(
-    cmap: ClassMap,
-    constraint: Constraint = None,
-    *,
-    prune: bool = True,
-) -> ClassMap:
+def expand_level(cmap: ClassMap, constraint: Constraint = None) -> ClassMap:
     """One BFS step: place the edge labelled ``cmap.level`` everywhere.
 
     Children are regrouped by canonical key; a parent's direct count
     flows into the slot named by the child's orientation flag and its
     reflected count into the opposite slot, collapsing into the direct
-    slot for self-complementary children.  With ``prune`` set, slots
-    whose orientation can no longer satisfy the constraint are zeroed
-    and entries with both slots zero are dropped.
+    slot for self-complementary children.  Slots whose orientation can
+    no longer satisfy the constraint are zeroed and entries with both
+    slots zero are dropped.
     """
-    return _expand(cmap, constraint, prune, map)
+    return _expand(cmap, constraint, map)
 
 
-def _expand(cmap: ClassMap, constraint: Constraint, prune: bool, mapper) -> ClassMap:
+def _expand(cmap: ClassMap, constraint: Constraint, mapper) -> ClassMap:
     """``expand_level``, running the array path's blocks through ``mapper``:
     the builtin ``map`` expands each block when the fold asks for it,
     ``Pool.imap`` hands the workers' blocks back in order as they finish."""
@@ -1008,7 +1001,7 @@ def _expand(cmap: ClassMap, constraint: Constraint, prune: bool, mapper) -> Clas
         raise ValueError(f"cannot expand a terminal map (level {cmap.level})")
     _check_map(cmap, constraint)
     n, k = cmap.n, cmap.level
-    dead = _dead_tests(n, k - 1, constraint) if prune else None
+    dead = _dead_tests(n, k - 1, constraint)
     rows = len(cmap.keys)
     if rows == 0 or rows < _ARRAY_MIN_ROWS:
         keys, mult = _expand_keys(n, k, cmap.keys, cmap.mult, dead)
@@ -1048,7 +1041,6 @@ def count(
     constraint: Constraint = None,
     *,
     workers: int = 1,
-    prune: bool = True,
     initial: Optional[ClassMap] = None,
     on_level: Optional[Callable[[ClassMap], None]] = None,
 ) -> CountResult:
@@ -1097,9 +1089,9 @@ def count(
         while cmap.level > 0:
             t1 = time.perf_counter()
             if pool is not None:
-                cmap = _expand(cmap, constraint, prune, pool.imap)
+                cmap = _expand(cmap, constraint, pool.imap)
             else:
-                cmap = expand_level(cmap, constraint, prune=prune)
+                cmap = expand_level(cmap, constraint)
             stats.append(
                 LevelStats(
                     cmap.level,

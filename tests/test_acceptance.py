@@ -28,6 +28,7 @@ from gracefulperms.search import (
     enumerate_graceful,
     is_graceful,
 )
+from limbs import none_built_counts
 
 COUNT_64_EXPECTED = 1172380428523169632220649
 #: Peak classes per level of the 40-label run (level 5) under the
@@ -154,10 +155,16 @@ def test_criterion_6_oracle_triple_agreement():
 
 
 def test_criterion_7_pruning_equivalence():
-    for n in range(1, 13):
-        for c in all_constraints(n):
-            assert count(n, c, prune=True).count == count(n, c, prune=False).count, (n, c)
-    _verdict(7, "pruning on/off equivalence", True, "all constraints for n <= 12")
+    """Each pruned count equals the run built for None, which prunes
+    nothing, finalized under the constraint; n = 1 has no levels and is
+    compared with brute force."""
+    for c in all_constraints(1):
+        assert count(1, c).count == brute_force_count(1, c), c
+    for n in range(2, 13):
+        cs = list(all_constraints(n))
+        assert [count(n, c).count for c in cs] == none_built_counts(n, cs), n
+    _verdict(7, "pruning equivalence with the run built for None", True,
+             "all constraints for n <= 12")
 
 
 def test_criterion_7_symmetries_and_aggregation():

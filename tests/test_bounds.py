@@ -8,6 +8,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gracefulperms import bounds
 from gracefulperms.bounds import (
@@ -222,6 +224,62 @@ def test_certify_threshold_forms():
         certify_bound(10, 2, "nan")
     with pytest.raises(ValueError):
         certify_bound(10, 2, "-1.5")
+
+
+def test_certify_settles_extreme_exponents_without_a_power():
+    """A threshold's decimal exponent sets no amount of work: a threshold
+    of at least 10**d, for a count of d digits, or below 1, and a zero
+    count are answered before any power is taken."""
+    assert certify_bound(10**20, 6, "1e1000000000") is False
+    assert certify_bound(10**20, 6, "1e-1000000000") is True
+    assert certify_bound(0, 6, "1e-1000000000") is False
+
+
+def test_certify_takes_counts_and_thresholds_of_any_length():
+    """Neither the count nor the threshold's digits pass through a decimal
+    string, whose conversion Python limits to 4,300 digits by default."""
+    assert certify_bound(10**5000, 2, "1e2499") is True
+    assert certify_bound(10**5000, 2, "1e2500") is False
+    assert certify_bound(10**5000, 2, "3") is True
+    assert certify_bound(4382, 20, "1.52" + "0" * 5000) is True
+    assert certify_bound(4382, 20, "1.521" + "0" * 5000) is False
+
+
+@st.composite
+def _certify_cases(draw):
+    """(cnt, exponent, p, shift) for the threshold p * 10**shift, the
+    count either any or next to the threshold's power."""
+    exponent = draw(st.integers(1, 12))
+    p = draw(st.integers(0, 10**12))
+    shift = draw(st.integers(-30, 30))
+    if draw(st.booleans()):
+        power = (p * 10 ** max(shift, 0)) ** exponent // 10 ** (max(-shift, 0) * exponent)
+        cnt = max(0, power + draw(st.integers(-2, 2)))
+    else:
+        cnt = draw(st.integers(0, 10**40))
+    return cnt, exponent, p, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certify_cases())
+@example((999, 1, 999, 0))
+@example((999, 1, 9989, -1))
+@example((999, 1, 999, -2))
+@example((999, 1, 1, 3))
+@example((1000, 1, 999, 0))
+@example((1000, 1, 1, 3))
+@example((1, 1, 1, 0))
+@example((1, 5, 999, -3))
+@example((0, 1, 0, 0))
+@example((4382, 20, 1521, -3))
+def test_certify_equals_the_integer_comparison(case):
+    """``certify_bound`` equals cnt * 10**(s * E) > p**E for the threshold
+    p / 10**s, whichever of its early answers it takes, across digit
+    boundaries such as 999 against "999", "998.9", "9.99e2" and "1e3"."""
+    cnt, exponent, p, shift = case
+    s = max(-shift, 0)
+    expected = cnt * 10 ** (s * exponent) > (p * 10 ** max(shift, 0)) ** exponent
+    assert certify_bound(cnt, exponent, f"{p}e{shift}") is expected
 
 
 def test_certified_threshold_is_consistent_with_gamma():

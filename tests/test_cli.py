@@ -257,6 +257,19 @@ def test_bound_uncertified(capsys):
     assert out.splitlines()[-1] == "certified: false"
 
 
+def test_bound_with_a_huge_threshold_exponent(capsys):
+    code, out, _ = run(capsys, "bound", "--m", "3", "--j", "1", "--threshold", "1e1000000000")
+    assert code == 0
+    assert out.splitlines()[-1] == "certified: false"
+
+
+def test_bound_with_a_threshold_of_many_digits(capsys):
+    threshold = "1.52" + "0" * 5000
+    code, out, _ = run(capsys, "bound", "--m", "10", "--j", "5", "--threshold", threshold)
+    assert code == 0
+    assert out.splitlines()[-1] == "certified: true"
+
+
 def test_bound_without_threshold(capsys):
     code, out, _ = run(capsys, "bound", "--m", "2", "--j", "1")
     assert code == 0

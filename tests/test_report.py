@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gracefulperms import report, search, state
 from gracefulperms.report import (
+    DEFAULT_BUDGET_MB,
     CheckpointError,
     build_ratios,
     build_table,
@@ -115,8 +116,8 @@ def test_table_formats_parse_back():
 def test_table_budget_refusal():
     with pytest.raises(ComputationRefused):
         build_table(1, 60, budget_mb=256)
-    # and a budget of None disables the guard for small tables
-    assert build_table(3, 4, budget_mb=None) == [(3, 4), (4, 4)]
+    # and the default budget admits small tables
+    assert build_table(3, 4, budget_mb=DEFAULT_BUDGET_MB) == [(3, 4), (4, 4)]
 
 
 def test_table_validates_range():
@@ -196,7 +197,7 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     save_checkpoint(m, p1, c)
-    save_checkpoint(load_checkpoint(p1), p2, c)
+    save_checkpoint(load_checkpoint(p1, expect_n=20, expect_constraint=c), p2, c)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -355,7 +356,7 @@ def test_load_orients_blocks_like_the_table_lookup(tmp_path, monkeypatch, block_
 
     monkeypatch.setattr(search, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(search, "_orient", checked)
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint(path, expect_n=n, expect_constraint=c)
     assert sum(seen) == len(widest.keys) and max(seen) == min(block_rows, len(widest.keys))
     assert np.array_equal(loaded.keys, widest.keys)
     assert np.array_equal(loaded.mult, widest.mult)
@@ -403,7 +404,7 @@ def test_loaded_checkpoint_carries_its_constraint(tmp_path):
     m = _level_map(8, 4, c)
     path = tmp_path / "c.ckpt"
     save_checkpoint(m, path, c)
-    back = load_checkpoint(path)
+    back = load_checkpoint(path, expect_n=8, expect_constraint=c)
     assert back.constraint == c
     assert count(8, c, initial=back).count == count(8, c).count
     with pytest.raises(ValueError, match="built for"):
@@ -417,11 +418,11 @@ def test_checkpoint_rejects_wrong_expectations(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(m, path, OneEndpoint(1))
     with pytest.raises(CheckpointError, match="expected n=8"):
-        load_checkpoint(path, expect_n=8)
+        load_checkpoint(path, expect_n=8, expect_constraint=OneEndpoint(1))
     with pytest.raises(CheckpointError, match="expected.*TwoEndpoints"):
-        load_checkpoint(path, expect_constraint=TwoEndpoints(1, 2))
+        load_checkpoint(path, expect_n=7, expect_constraint=TwoEndpoints(1, 2))
     with pytest.raises(CheckpointError, match="expected None"):
-        load_checkpoint(path, expect_constraint=None)
+        load_checkpoint(path, expect_n=7, expect_constraint=None)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -433,21 +434,21 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"WRONGMAG" + blob[8:])
     with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(bad)
+        load_checkpoint(bad, expect_n=7, expect_constraint=None)
 
     bad.write_bytes(blob[:8] + struct.pack("<H", 9) + blob[10:])
     with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(bad)
+        load_checkpoint(bad, expect_n=7, expect_constraint=None)
 
     bad.write_bytes(blob[:-3])
     with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(bad)
+        load_checkpoint(bad, expect_n=7, expect_constraint=None)
 
     corrupt = bytearray(blob)
     corrupt[25] = 3  # free count out of range in the first record
     bad.write_bytes(bytes(corrupt))
     with pytest.raises(CheckpointError, match="violates state invariants"):
-        load_checkpoint(bad)
+        load_checkpoint(bad, expect_n=7, expect_constraint=None)
 
     with pytest.raises(CheckpointError, match="cannot read"):
         read_checkpoint_header(tmp_path / "missing.ckpt")
@@ -462,7 +463,7 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         CheckpointError,
         match=f"1 trailing bytes, {size + 1} bytes but header promises {size}$",
     ):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_n=7, expect_constraint=None)
 
 
 def test_checkpoint_rejects_denormalized_records(tmp_path):
@@ -472,7 +473,7 @@ def test_checkpoint_rejects_denormalized_records(tmp_path):
     bad_key = bytes([2, 5, 2, 0xFF, 2, 0xFF])
     _write_records(path, 3, 2, [(bad_key, 1, 0)])
     with pytest.raises(CheckpointError, match="not a normalized encoding"):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_n=3, expect_constraint=None)
     # a valid state stored under the larger of its two orientations: the
     # path 1-3-0 on four labels, whose complement 2-0-3 encodes smaller
     from gracefulperms.state import complement_key, decode
@@ -481,7 +482,7 @@ def test_checkpoint_rejects_denormalized_records(tmp_path):
     assert complement_key(key) < key
     save_checkpoint(_class_map(4, decode(key).next_edge_label, {key: (1, 0)}), path)
     with pytest.raises(CheckpointError, match="canonical orientation"):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_n=4, expect_constraint=None)
 
 
 def test_checkpoint_rejects_invalid_records(tmp_path):
@@ -491,18 +492,18 @@ def test_checkpoint_rejects_invalid_records(tmp_path):
     path = tmp_path / "z.ckpt"
     save_checkpoint(m, path)
     with pytest.raises(CheckpointError, match="zero multiplicity"):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_n=2, expect_constraint=None)
     # reflected count on a self-complementary key
     m = _class_map(2, 0, {key: (1, 1)})
     save_checkpoint(m, path)
     with pytest.raises(CheckpointError, match="self-complementary"):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_n=2, expect_constraint=None)
     # record level disagreeing with the header
     level = _level_map(3, 1)
     wrong = ClassMap(3, 0, level.keys, level.mult)
     save_checkpoint(wrong, path)
     with pytest.raises(CheckpointError, match="level"):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_n=3, expect_constraint=None)
 
 
 def test_class_maps_refuse_multiplicities_outside_128_bits(tmp_path):
@@ -513,7 +514,7 @@ def test_class_maps_refuse_multiplicities_outside_128_bits(tmp_path):
     m = _class_map(2, 0, {key: (top, 0)})
     assert m.mult.dtype == np.uint64 and m.mult.tolist() == [[2**64 - 1] * 2 + [0, 0]]
     save_checkpoint(m, tmp_path / "o.ckpt")
-    back = load_checkpoint(tmp_path / "o.ckpt")
+    back = load_checkpoint(tmp_path / "o.ckpt", expect_n=2, expect_constraint=None)
     assert (back.keys.tobytes(), limbs.pairs(back.mult)) == (_one_byte_key(key), [(top, 0)])
     with pytest.raises(search.MultiplicityOverflow, match="128 bits"):
         _class_map(2, 0, {key: (1 << 128, 0)})
@@ -596,8 +597,10 @@ def _two_byte_key(key):
 
 def _array_load(path):
     """The keys, widened here one key at a time, and (direct, reflected)
-    pairs of the map ``load_checkpoint`` returns."""
-    m = load_checkpoint(path)
+    pairs of the map ``load_checkpoint`` returns, expecting the n and
+    constraint that the header names: the callers test the records."""
+    header = read_checkpoint_header(path)
+    m = load_checkpoint(path, expect_n=header.n, expect_constraint=header.constraint)
     assert m.keys.dtype == np.uint8 and m.keys.shape == (len(m.keys), m.n)
     assert m.mult.dtype == np.uint64 and m.mult.shape == (len(m.keys), 4)
     keys = b"".join(_two_byte_key(row.tobytes()) for row in m.keys)
@@ -709,7 +712,7 @@ def test_checkpoint_refuses_label_counts_out_of_range(tmp_path, n):
     path = tmp_path / "n.ckpt"
     path.write_bytes(blob + key + (1).to_bytes(16, "little") + bytes(16))
     with pytest.raises(CheckpointError, match=f"label count {n} out of range 1..254"):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_n=n, expect_constraint=None)
 
 
 @pytest.mark.parametrize(
@@ -735,7 +738,7 @@ def test_empty_checkpoints_with_a_bad_header_are_refused(tmp_path, n, tag, a, b,
     with pytest.raises(CheckpointError, match=message):
         read_checkpoint_header(path)
     with pytest.raises(CheckpointError, match=message):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_n=8, expect_constraint=TwoEndpoints(1, 5))
     assert report.resume_candidates(tmp_path, 8, TwoEndpoints(1, 5)) == [good]
 
 

@@ -43,7 +43,7 @@ from gracefulperms.state import (
     encode,
     new_root,
 )
-from limbs import pairs
+from limbs import none_built_counts, pairs
 
 
 def all_constraints(n):
@@ -122,8 +122,13 @@ def test_dfs_constrained_20():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_dfs_prune_toggle(n):
+    """The pruned walk against the unconstrained walk, which never prunes:
+    its permutations filtered by each constraint's ends."""
+    perms = enumerate_graceful(n).permutations
     for c in all_constraints(n):
-        assert dfs_count(n, c, prune=True) == dfs_count(n, c, prune=False)
+        ends = search._endpoints(c)
+        expected = sum(all(p[i] == e for i, e in zip((0, -1), ends)) for p in perms)
+        assert dfs_count(n, c) == expected, c
 
 
 # -- expansion and folding -------------------------------------------------------
@@ -200,11 +205,11 @@ def test_expand_rejects_terminal_map():
         expand_level(m)
 
 
-def _all_levels(n, c, prune):
+def _all_levels(n, c):
     m = root_map(n)
     levels = []
     while m.level > 0:
-        m = expand_level(m, c, prune=prune)
+        m = expand_level(m, c)
         levels.append(m)
     return levels
 
@@ -229,7 +234,9 @@ def test_expand_paths_agree(monkeypatch):
     merge children across blocks on every level it handles, at every
     forced merge size.  The per-key loop prunes canonical keys and the
     array path children before they are oriented, so the constrained
-    cases cross-check the two ways of reading the dead tests."""
+    cases cross-check the two ways of reading the dead tests.  The None
+    row builds the unpruned levels, and its terminal map, finalized under
+    each constraint of the grid, gives the walk's count."""
     monkeypatch.setattr(search, "_BLOCK_ROWS", 7)
     grid = [
         (n, c)
@@ -243,19 +250,23 @@ def test_expand_paths_agree(monkeypatch):
             TwoEndpoints(3, n - 4),  # mirror-symmetric ends
         )
     ]
-    for (n, c), prune in itertools.product(grid, (True, False)):
+    unpruned = {}
+    for n, c in grid:
         monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", 10**9)
-        by_key = _all_levels(n, c, prune)
+        by_key = _all_levels(n, c)
         for a in by_key:
             rows = [bytes(row) for row in a.keys]
             assert rows == sorted(set(rows))
         monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", 0)
         for merge_rows in MERGE_ROWS:
             monkeypatch.setattr(search, "_MERGE_ROWS", merge_rows)
-            by_array = _all_levels(n, c, prune)
+            by_array = _all_levels(n, c)
             _assert_same_levels(by_array, by_key)
+        if c is None:  # the first constraint of each n
+            unpruned[n] = by_key[-1]
         expected = dfs_count(n, c)
         assert finalize(by_key[-1], c) == finalize(by_array[-1], c) == expected
+        assert finalize(unpruned[n], c) == expected
         if n == 9:
             assert expected == brute_force_count(n, c)
 
@@ -397,7 +408,7 @@ def test_widest_expansion_holds_little_beside_its_child(monkeypatch):
     and many buckets wide, as the default sizes do at larger n."""
     monkeypatch.setattr(search, "_BLOCK_ROWS", 512)
     monkeypatch.setattr(search, "_MERGE_ROWS", 2048)
-    levels = _all_levels(30, None, True)
+    levels = _all_levels(30, None)
     i = max(range(1, len(levels)), key=lambda j: len(levels[j].keys))
     parent, child = levels[i - 1], levels[i]
     del levels
@@ -739,19 +750,17 @@ def test_every_route_refuses_what_is_not_a_constraint():
 )
 def test_step_functions_check_their_constraint(step, constraint, error, message):
     """``expand_level`` and ``finalize`` check their constraint as
-    ``count`` does, with or without pruning: no IndexError from the
-    pruning tests' lookups and no map built for what is not a constraint."""
+    ``count`` does: no IndexError from the pruning tests' lookups and no
+    map built for what is not a constraint."""
     m = root_map(7)
+    step_function = expand_level
     if step == "finalize":
         while m.level > 0:
             m = expand_level(m)
-        calls = [lambda: finalize(m, constraint)]
-    else:
-        calls = [lambda p=p: expand_level(m, constraint, prune=p) for p in (True, False)]
-    for call in calls:
-        with pytest.raises(error) as exc:
-            call()
-        assert str(exc.value) == message
+        step_function = finalize
+    with pytest.raises(error) as exc:
+        step_function(m, constraint)
+    assert str(exc.value) == message
 
 
 def test_numpy_integer_labels_are_accepted():
@@ -849,25 +858,25 @@ def test_count_frees_an_initial_map_the_caller_does_not_keep():
             | st.builds(TwoEndpoints, st.integers(0, n - 1), st.integers(0, n - 1)),
         )
     ),
-    st.booleans(),
     st.integers(1, 9),
     st.integers(0, 40),
     st.integers(1, 9),
 )
-def test_engine_matches_dfs_with_small_blocks(case, prune, block_rows, array_min_rows, merge_rows):
+def test_engine_matches_dfs_with_small_blocks(case, block_rows, array_min_rows, merge_rows):
     """With tiny blocks, tiny merge ranges and a random switch-over between
     the per-key loop and the array path, ``count`` still equals the
-    unfolded walk, and every level equals the default run's bit for bit."""
+    unfolded walk and the unpruned run built for None, and every level
+    equals the default run's bit for bit."""
     n, c = case
     expected = []
-    base = count(n, c, prune=prune, on_level=expected.append)
+    base = count(n, c, on_level=expected.append)
     levels = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_BLOCK_ROWS", block_rows)
         mp.setattr(search, "_ARRAY_MIN_ROWS", array_min_rows)
         mp.setattr(search, "_MERGE_ROWS", merge_rows)
-        got = count(n, c, prune=prune, on_level=levels.append)
-    assert got.count == base.count == dfs_count(n, c, prune=not prune)
+        got = count(n, c, on_level=levels.append)
+    assert got.count == base.count == dfs_count(n, c) == none_built_counts(n, [c])[0]
     _assert_same_levels(levels, expected)
 
 
@@ -885,17 +894,18 @@ def test_engine_matches_dfs_with_small_blocks(case, prune, block_rows, array_min
     st.integers(0, 2**32 - 1),
 )
 def test_pruning_equals_the_dead_tests_on_the_built_keys(case, block_rows, seed):
-    """Pruned expansion through the array path equals unpruned expansion
-    followed by the rule applied to the canonical keys: each slot that
-    ``_dead_rows`` kills there cleared (the direct slot under ``dead[0]``,
-    the reflected one under ``dead[1]``), then rows with no limb set
-    dropped.  The parents are every level of an unpruned run and of a run
-    built for None, so they hold slots that are already dead, and copies of
-    those levels with one slot of some rows cleared, whose children live
-    only in the other slot."""
+    """Pruned expansion through the array path equals unpruned expansion,
+    that of the parent relabelled as built for None, followed by the rule
+    applied to the canonical keys: each slot that ``_dead_rows`` kills
+    there cleared (the direct slot under ``dead[0]``, the reflected one
+    under ``dead[1]``), then rows with no limb set dropped.  The parents
+    are every level of a pruned run and of a run built for None, which
+    holds slots that are already dead, and copies of those levels with
+    one slot of some rows cleared, whose children live only in the other
+    slot."""
     n, c = case
     levels = [root_map(n)]
-    count(n, c, prune=False, on_level=levels.append)
+    count(n, c, on_level=levels.append)
     count(n, None, on_level=levels.append)
     rng = np.random.default_rng(seed)
     parents = list(levels)
@@ -913,8 +923,8 @@ def test_pruning_equals_the_dead_tests_on_the_built_keys(case, block_rows, seed)
         for parent in parents:
             if parent.level == 0:
                 continue
-            got = expand_level(parent, c, prune=True)
-            full = expand_level(parent, c, prune=False)
+            got = expand_level(parent, c)
+            full = expand_level(ClassMap(n, parent.level, parent.keys, parent.mult))
             mult = full.mult.copy()
             dead = search._dead_tests(n, parent.level - 1, c)
             for s, tests in enumerate(dead or ()):
@@ -931,9 +941,9 @@ def test_worker_pool_gives_the_single_worker_levels(monkeypatch):
     pooled = []
     real_expand = search._expand
 
-    def spy(cmap, constraint, prune, mapper):
+    def spy(cmap, constraint, mapper):
         pooled.append(mapper is not map)
-        return real_expand(cmap, constraint, prune, mapper)
+        return real_expand(cmap, constraint, mapper)
 
     monkeypatch.setattr(search, "_expand", spy)
     for n, c in ((16, None), (20, TwoEndpoints(5, 15))):
@@ -972,33 +982,25 @@ def test_maps_are_refused_for_another_constraint():
 
 def test_maps_resume_under_either_prune_setting():
     """Pruning only drops slots that cannot reach a leaf satisfying the
-    map's own constraint, so a map resumes exactly with or without it."""
+    map's own constraint, and a map built for None holds every tree node,
+    so ``count(initial=)`` resumes a constraint exactly from every level
+    of a run built for it and of a run built for None, like
+    ``expand_level`` and ``finalize`` do."""
     c = TwoEndpoints(4, 12)
     base = count(16, c).count
     assert base == dfs_count(16, c)
-    for built_with in (True, False):
+    for built_for in (c, None):
         maps = []
-        count(16, c, prune=built_with, on_level=maps.append)
-        for m in maps[::4]:
-            for prune in (True, False):
-                assert count(16, c, prune=prune, initial=m).count == base
+        count(16, built_for, on_level=maps.append)
+        for m in maps:
+            assert m.constraint == built_for
+            assert count(16, c, initial=m).count == base
     # A map built for None holds every tree node, so any constraint may
     # take it further.
     m = root_map(9)
     while m.level > 0:
         m = expand_level(m, OneEndpoint(2)) if m.level == 1 else expand_level(m)
     assert finalize(m, OneEndpoint(2)) == dfs_count(9, OneEndpoint(2))
-
-
-def test_count_resumes_a_constraint_from_a_map_built_for_none():
-    """``count(initial=)`` takes a map built for None under any constraint,
-    like ``expand_level`` and ``finalize`` do."""
-    c = TwoEndpoints(4, 12)
-    maps = []
-    count(16, on_level=maps.append)
-    for m in maps[3::5]:
-        assert m.constraint is None
-        assert count(16, c, initial=m).count == dfs_count(16, c)
 
 
 def test_initial_maps_must_hold_states_of_their_level():
@@ -1191,7 +1193,7 @@ def test_enumerated_permutations_match_validated_ones(n):
 
 
 def test_enumerate_rejects_a_non_graceful_walk(monkeypatch):
-    def walk(n, constraint, prune, emit):
+    def walk(n, constraint, emit):
         emit((0, 1, 2))
         return 1
 

@@ -982,25 +982,34 @@ def test_maps_are_refused_for_another_constraint():
 
 def test_maps_resume_under_either_prune_setting():
     """Pruning only drops slots that cannot reach a leaf satisfying the
-    map's own constraint, and a map built for None holds every tree node,
-    so ``count(initial=)`` resumes a constraint exactly from every level
-    of a run built for it and of a run built for None, like
-    ``expand_level`` and ``finalize`` do."""
+    map's own constraint, so ``count(initial=)`` resumes exactly from
+    every level of a run built for it."""
     c = TwoEndpoints(4, 12)
     base = count(16, c).count
     assert base == dfs_count(16, c)
-    for built_for in (c, None):
-        maps = []
-        count(16, built_for, on_level=maps.append)
-        for m in maps:
-            assert m.constraint == built_for
-            assert count(16, c, initial=m).count == base
+    maps = []
+    count(16, c, on_level=maps.append)
+    for m in maps:
+        assert m.constraint == c
+        assert count(16, c, initial=m).count == base
     # A map built for None holds every tree node, so any constraint may
     # take it further.
     m = root_map(9)
     while m.level > 0:
         m = expand_level(m, OneEndpoint(2)) if m.level == 1 else expand_level(m)
     assert finalize(m, OneEndpoint(2)) == dfs_count(9, OneEndpoint(2))
+
+
+def test_count_resumes_a_constraint_from_a_map_built_for_none():
+    """``count(initial=)`` takes a map built for None under any constraint,
+    like ``expand_level`` and ``finalize`` do: the unpruned map holds every
+    tree node, so the constraint prunes from that level on."""
+    c = TwoEndpoints(4, 12)
+    maps = []
+    count(16, on_level=maps.append)
+    for m in maps:
+        assert m.constraint is None
+        assert count(16, c, initial=m).count == dfs_count(16, c)
 
 
 def test_initial_maps_must_hold_states_of_their_level():

@@ -186,28 +186,36 @@ def certify_bound(
 ) -> bool:
     """True iff cnt**(1/exponent) strictly exceeds the decimal threshold.
 
-    Evaluated as cnt * 10**(s*exponent) > p**exponent over exact integers,
-    where threshold = p / 10**s.  A count below 1, a threshold below 1
-    and a threshold of at least 10**d, where cnt has d digits, are settled
-    first without a power, so a threshold's decimal exponent cannot make
-    the work unbounded: any other threshold lies in 1..10**d.
+    Decided over exact integers, for D = 8, 16, 32, ...: the root's first
+    D decimals, integer_nth_root(cnt * 10**(D*exponent), exponent), against
+    the threshold's, floor(threshold * 10**D).  The first D at which they
+    differ answers; once they agree and threshold * 10**D is an integer,
+    comparing that integer's power with cnt * 10**(D*exponent) does.  A
+    count below 1 and a threshold of at least the count, which is at least
+    its root, are settled first, so the work grows only with the digits on
+    which the threshold agrees with the root, not with its exponent or its
+    length.
     """
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     dec = _threshold(threshold)
-    if cnt < 1:
-        return False
-    if dec < 1:
-        return True
-    if dec.adjusted() > Decimal(cnt).adjusted():  # dec >= 10**d > cnt >= its root
+    if cnt < 1 or dec >= cnt:
         return False
     _, digits, shift = dec.as_tuple()
-    # Through Decimal: int() of a string refuses more than
-    # sys.get_int_max_str_digits() digits, 4,300 by default.
-    p = int(Decimal((0, digits, 0)))
-    if shift >= 0:
-        return cnt > (p * 10**shift) ** exponent
-    return cnt * (10**-shift) ** exponent > p**exponent
+    places = 8
+    while True:
+        scaled = cnt * 10 ** (places * exponent)
+        root = integer_nth_root(scaled, exponent)
+        # floor(threshold * 10**places) keeps the threshold's first `cut`
+        # digits, through Decimal: int() of a string refuses more than
+        # sys.get_int_max_str_digits() digits, 4,300 by default.
+        cut = max(len(digits) + shift + places, 0)
+        floor = int(Decimal((0, digits[:cut] or (0,), max(cut - len(digits), 0))))
+        if root != floor:
+            return root > floor
+        if not any(digits[cut:]):
+            return root**exponent < scaled
+        places *= 2
 
 
 def build_witness(m: int, j: int, r: int, iterations: int = 1) -> GracefulPermutation:

@@ -235,8 +235,7 @@ def _read_records(fh, path, header: CheckpointHeader, record: int) -> ClassMap:
         # covers the rest of state.decode and the header's level.
         bad = (search._widen(block_keys) != wide).any(axis=1)
         bad |= search._bad_states(block_keys, header.level)
-        _, reflected, self_comp = search._orient(block_keys)
-        bad |= reflected | ~limbs.any(axis=1) | self_comp & limbs[:, 2:].any(axis=1)
+        bad |= search._orient(block_keys)[1] | ~limbs.any(axis=1)
         # Each key against the one before it, the first key of a block
         # against the last of the previous block.
         after = max(start, 1)
@@ -260,15 +259,12 @@ def _record_error(i: int, key: bytes, prev: bytes, limbs: np.ndarray, level: int
         return f"record {i} violates state invariants: {exc}"
     if state.encode(s) != key:
         return f"record {i} is not a normalized encoding"
-    comp = state.complement_key(key)
-    if comp < key:
+    if state.complement_key(key) < key:
         return f"record {i} is not the canonical orientation of its class"
     if s.next_edge_label != level:
         return f"record {i} is on level {s.next_edge_label}, header says {level}"
     if not limbs.any():
         return f"record {i} has zero multiplicity"
-    if comp == key and limbs[2:].any():
-        return f"record {i} is self-complementary but has a reflected count"
     if key == prev:
         return f"duplicate key in record {i}"
     if key < prev:
@@ -376,8 +372,7 @@ def build_ratios(from_n: int, to_n: int) -> list[tuple[int, str]]:
 
 
 def format_ratios(rows: list[tuple[int, str]]) -> str:
-    width = max(len(str(n)) for n, _ in rows)
-    return "\n".join(f"{n:>{width}}  {ratio}" for n, ratio in rows)
+    return format_table(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ Three independent routes produce counts:
   correct after folding.
 
 A class stored under key K holds ``direct`` tree nodes whose encoding is
-K itself and ``reflected`` nodes whose complemented encoding is K.  The
-final answer is read off the terminal level: an unconstrained graceful
-permutation is a terminal tree node read in either direction, while a
-required start label picks the reading direction, so no doubling applies
-to constrained counts.
+K itself and ``reflected`` nodes whose complemented encoding is K.  One
+rule moves them to the next level: a parent's direct count flows into the
+child's orientation slot and its reflected count into the other slot, a
+child equal to its complement counting as direct, so such a child keeps
+both counts.  The final answer is read off the terminal level: an
+unconstrained graceful permutation is a terminal tree node read in either
+direction, while a required start label picks the reading direction, so
+no doubling applies to constrained counts.
 
 The BFS stores a key in one byte per label: 0 for a label with no free
 slot, 1 + p for a path end whose partner is p, n + 1 for an unused label.
@@ -811,9 +814,8 @@ def _compare_rows(a: np.ndarray, b: np.ndarray):
 
 def _orient(keys: np.ndarray):
     """The complement of every one-byte key row (labels reversed, each
-    partner p read as n - 1 - p), whether it sorts strictly below the key
-    (the row is reflected) and whether it equals the key
-    (self-complementary).
+    partner p read as n - 1 - p) and whether it sorts strictly below the
+    key (the row is reflected); a row equal to its complement is not.
 
     The key bytes are mapped by ``bytes.translate``, ``_ORIENT_ROWS`` rows
     at a time, into one array; the complement is a view of that array with
@@ -827,24 +829,17 @@ def _orient(keys: np.ndarray):
         chunk = keys[i : i + _ORIENT_ROWS].tobytes().translate(table)
         flat[i * n : i * n + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
     comp = mapped[:, ::-1]
-    reflected, self_comp = _compare_rows(comp, keys)
-    return comp, reflected, self_comp
+    return comp, _compare_rows(comp, keys)[0]
 
 
 def _expand_block(job):
     """Children of a block of parent rows: placed, pruned, canonicalised
     and grouped, all as array operations."""
     child, out = _children(*job)
-    comp, reflected, self_comp = _orient(child)
+    comp, reflected = _orient(child)
     child[reflected] = comp[reflected]  # the canonical keys
     del comp
     out[reflected] = out[reflected][:, [2, 3, 0, 1]]
-    if self_comp.any():
-        # A self-complementary child's two counts, as a group of two rows
-        # of direct limbs, sum into its direct slot.
-        pairs = np.zeros((np.count_nonzero(self_comp), 2, 4), dtype=np.uint64)
-        pairs[:, :, :2] = out[self_comp].reshape(-1, 2, 2)
-        out[self_comp] = _sum_groups(pairs.reshape(-1, 4), np.arange(0, 2 * len(pairs), 2))
     parts = [(child, out)]
     del child, out  # so that the group frees them once they are sorted
     return _group(parts)
@@ -948,12 +943,10 @@ def _expand_keys(n, k, keys, mult, dead):
                 ba[v] = 0
             kd = bytes(ba)
             kc = kd.translate(table)[::-1]
-            if kd < kc:
-                ckey, dd, rr = kd, d, r
-            elif kc < kd:
+            if kc < kd:
                 ckey, dd, rr = kc, r, d
             else:
-                ckey, dd, rr = kd, d + r, 0
+                ckey, dd, rr = kd, d, r
             if dead is not None:
                 if any(low <= ckey[e] <= high for e, low, high in dead[0]):
                     dd = 0
@@ -985,10 +978,10 @@ def expand_level(cmap: ClassMap, constraint: Constraint = None) -> ClassMap:
 
     Children are regrouped by canonical key; a parent's direct count
     flows into the slot named by the child's orientation flag and its
-    reflected count into the opposite slot, collapsing into the direct
-    slot for self-complementary children.  Slots whose orientation can
-    no longer satisfy the constraint are zeroed and entries with both
-    slots zero are dropped.
+    reflected count into the other slot, a child equal to its complement
+    counting as direct.  Slots whose orientation can no longer satisfy
+    the constraint are zeroed and entries with both slots zero are
+    dropped.
     """
     return _expand(cmap, constraint, map)
 

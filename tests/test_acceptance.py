@@ -156,13 +156,16 @@ def test_criterion_6_oracle_triple_agreement():
 
 def test_criterion_7_pruning_equivalence():
     """Each pruned count equals the run built for None, which prunes
-    nothing, finalized under the constraint; n = 1 has no levels and is
-    compared with brute force."""
+    nothing, finalized under the constraint, and that equals the walk, so
+    a fault in ``finalize``'s level-0 rule, which both sides read through,
+    shows too; n = 1 has no levels and is compared with brute force."""
     for c in all_constraints(1):
         assert count(1, c).count == brute_force_count(1, c), c
     for n in range(2, 13):
         cs = list(all_constraints(n))
-        assert [count(n, c).count for c in cs] == none_built_counts(n, cs), n
+        unpruned = none_built_counts(n, cs)
+        assert [count(n, c).count for c in cs] == unpruned, n
+        assert unpruned == [dfs_count(n, c) for c in cs], n
     _verdict(7, "pruning equivalence with the run built for None", True,
              "all constraints for n <= 12")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -243,6 +244,32 @@ def test_certify_takes_counts_and_thresholds_of_any_length():
     assert certify_bound(10**5000, 2, "3") is True
     assert certify_bound(4382, 20, "1.52" + "0" * 5000) is True
     assert certify_bound(4382, 20, "1.521" + "0" * 5000) is False
+
+
+def test_certify_answers_a_long_threshold_from_its_leading_digits():
+    """A threshold of 100,003 digits that its first two already settle
+    costs no more than a short one: the work follows the digits on which
+    it agrees with the root, not its length.  Comparing all its digits
+    took 8-10 s."""
+    start = time.perf_counter()
+    assert certify_bound(COUNT_64, 64, "2." + "0" * 100_000 + "1") is True
+    assert certify_bound(COUNT_64, 64, "3." + "0" * 100_000 + "1") is False
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("cnt,exponent", [(2**20, 20), (4382, 20), (10**50 + 7, 7)])
+def test_certify_decides_thresholds_that_agree_with_the_root_on_many_digits(cnt, exponent):
+    """Thresholds equal to the root's first 5..600 decimals, one unit in
+    the last place above them, or with zeros appended, against the
+    integer comparison."""
+    for places in (5, 8, 9, 100, 600):
+        root = integer_nth_root(cnt * 10 ** (places * exponent), exponent)
+        for p in (root, root + 1, root * 10**40):
+            shift = places + (40 if p > root + 1 else 0)
+            expected = cnt * 10 ** (shift * exponent) > p**exponent
+            whole, frac = divmod(p, 10**shift)
+            threshold = f"{whole}.{frac:0{shift}d}"
+            assert certify_bound(cnt, exponent, threshold) is expected, (places, p)
 
 
 @st.composite

@@ -349,10 +349,11 @@ def test_load_orients_blocks_like_the_table_lookup(tmp_path, monkeypatch, block_
 
     def checked(keys):
         table = np.frombuffer(search._byte_tables(keys.shape[1])[0], dtype=np.uint8)
-        comp, reflected, self_comp = orient(keys)
+        comp, reflected = orient(keys)
         assert np.array_equal(comp, table[keys[:, ::-1]])
+        assert not (reflected & (comp == keys).all(axis=1)).any()  # a tie is direct
         seen.append(len(keys))
-        return comp, reflected, self_comp
+        return comp, reflected
 
     monkeypatch.setattr(search, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(search, "_orient", checked)
@@ -376,6 +377,27 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     for p in saved:
         resumed = count(20, c, initial=load_checkpoint(p, expect_n=20, expect_constraint=c))
         assert resumed.count == base.count == 4382
+
+
+@pytest.mark.parametrize("n,c", [(20, TwoEndpoints(5, 15)), (16, None)], ids=str)
+def test_checkpoints_that_fold_a_tie_into_direct_still_resume(tmp_path, n, c):
+    """Older checkpoints hold a key equal to its complement with its two
+    counts summed into the direct slot.  Such a level loads as it is and
+    resumes to the same count: on that key both slots meet the same dead
+    tests and ``finalize`` reads them alike."""
+    levels = []
+    base = count(n, c, on_level=levels.append).count
+    moved = 0
+    for m in levels:
+        ties = [state.complement_key(key) == key for key in m.entries]
+        old = [(d + r, 0) if tie else (d, r) for (d, r), tie in zip(limbs.pairs(m.mult), ties)]
+        moved += sum(tie and r > 0 for (_, r), tie in zip(limbs.pairs(m.mult), ties))
+        path = tmp_path / checkpoint_filename(n, c, m.level)
+        save_checkpoint(ClassMap(n, m.level, m.keys, search._limbs(old), c), path, c)
+        loaded = load_checkpoint(path, expect_n=n, expect_constraint=c)
+        assert limbs.pairs(loaded.mult) == old
+        assert count(n, c, initial=loaded).count == base
+    assert moved > 0
 
 
 def test_find_resume_checkpoint_picks_deepest(tmp_path):
@@ -493,11 +515,12 @@ def test_checkpoint_rejects_invalid_records(tmp_path):
     save_checkpoint(m, path)
     with pytest.raises(CheckpointError, match="zero multiplicity"):
         load_checkpoint(path, expect_n=2, expect_constraint=None)
-    # reflected count on a self-complementary key
+    # both counts on a key equal to its complement load as they are
+    assert state.complement_key(key) == key
     m = _class_map(2, 0, {key: (1, 1)})
     save_checkpoint(m, path)
-    with pytest.raises(CheckpointError, match="self-complementary"):
-        load_checkpoint(path, expect_n=2, expect_constraint=None)
+    back = load_checkpoint(path, expect_n=2, expect_constraint=None)
+    assert limbs.pairs(back.mult) == [(1, 1)]
     # record level disagreeing with the header
     level = _level_map(3, 1)
     wrong = ClassMap(3, 0, level.keys, level.mult)
@@ -566,10 +589,6 @@ def _reference_load(path):
             )
         if d + r < 1:
             raise CheckpointError(f"{path}: record {i} has zero multiplicity")
-        if r and state.complement_key(key) == key:
-            raise CheckpointError(
-                f"{path}: record {i} is self-complementary but has a reflected count"
-            )
         if key == prev:
             raise CheckpointError(f"{path}: duplicate key in record {i}")
         if key < prev:
@@ -684,7 +703,7 @@ _HAND_MADE = [
     ([1, 1, 2, 0xFF, 2, 0xFF, 2, 0xFF], 2, 1, 0, "violates state invariants"),
     ([1, 1, 1, 2, 1, 3, 1, 0], 1, 1, 0, "violates state invariants"),
     ([1, 3, 2, 0xFF, 2, 0xFF, 1, 0], 2, 1 << 64, 0, None),
-    ([1, 3, 2, 0xFF, 2, 0xFF, 1, 0], 2, 0, 1 << 64, "self-complementary"),
+    ([1, 3, 2, 0xFF, 2, 0xFF, 1, 0], 2, 0, 1 << 64, None),
     ([1, 3, 2, 0xFF, 2, 0xFF, 1, 0], 1, 1, 0, "is on level 2, header says 1"),
 ]
 

@@ -453,12 +453,12 @@ def _one_byte_key(s):
 @given(_edge_walks())
 def test_orientation_helper_matches_the_state_functions(states):
     keys = np.array([_one_byte_key(s) for s in states], dtype=np.uint8)
-    comp, reflected, self_comp = search._orient(keys)
+    comp, reflected = search._orient(keys)
     assert comp.dtype == np.uint8 and comp.shape == keys.shape
     wide = search._widen(keys)
     assert np.array_equal(search._compact(wide), keys)
-    for s, row, key, c, refl, same in zip(
-        states, keys, wide, search._widen(comp), reflected, self_comp, strict=True
+    for s, row, key, c, refl in zip(
+        states, keys, wide, search._widen(comp), reflected, strict=True
     ):
         key = key.tobytes()
         assert key == encode(s)
@@ -470,24 +470,23 @@ def test_orientation_helper_matches_the_state_functions(states):
         )
         canon, flag = canonicalize(s)
         assert bool(refl) == flag
-        assert bool(same) == (canon == key == complement_key(key))
-    back, _, _ = search._orient(comp)
+        assert not (refl and complement_key(key) == key)  # a tie is direct
+    back, _ = search._orient(comp)
     assert np.array_equal(back, keys)
 
 
 def _table_orient(keys):
-    """The complement by a lookup in the byte map, and the orientation
-    flags by comparing byte strings row by row."""
+    """The complement by a lookup in the byte map, and the reflected flag
+    by comparing byte strings row by row."""
     table = np.frombuffer(search._byte_tables(keys.shape[1])[0], dtype=np.uint8)
     comp = table[keys[:, ::-1]]
-    pairs = [(c.tobytes(), k.tobytes()) for c, k in zip(comp, keys)]
-    return comp, [c < k for c, k in pairs], [c == k for c, k in pairs]
+    return comp, [c.tobytes() < k.tobytes() for c, k in zip(comp, keys)]
 
 
 @pytest.mark.parametrize("n,c", [(24, None), (36, TwoEndpoints(9, 27))])
 def test_orient_chunks_match_the_table_lookup(n, c):
     """At and around the chunk size, on the canonical keys of a level and
-    on their complements, which are reflected unless self-complementary."""
+    on their complements, which are reflected unless equal to the key."""
     levels = []
     count(n, c, on_level=levels.append)
     keys = max(levels, key=lambda m: len(m.keys)).keys
@@ -495,11 +494,11 @@ def test_orient_chunks_match_the_table_lookup(n, c):
     assert len(keys) > chunk + 1
     for rows in (0, 1, chunk - 1, chunk, chunk + 1):
         for part in (keys[:rows], _table_orient(keys[:rows])[0]):
-            comp, reflected, self_comp = search._orient(part)
-            want_comp, want_reflected, want_self = _table_orient(part)
+            comp, reflected = search._orient(part)
+            want_comp, want_reflected = _table_orient(part)
             assert np.array_equal(comp, want_comp)
             assert reflected.tolist() == want_reflected
-            assert self_comp.tolist() == want_self
+            assert not (reflected & search._compare_rows(comp, part)[1]).any()
 
 
 @st.composite
@@ -530,12 +529,14 @@ def test_orient_decides_keys_that_share_a_long_prefix_with_their_complement(keys
     within their first 16 bytes, so random states hardly reach a long
     common prefix; these keys do, and the flags still equal the full-row
     comparison."""
-    comp, reflected, self_comp = search._orient(keys)
-    want_comp, want_reflected, want_self = _table_orient(keys)
+    comp, reflected = search._orient(keys)
+    want_comp, want_reflected = _table_orient(keys)
     assert np.array_equal(comp, want_comp)
     below, equal = search._compare_rows(want_comp, keys)
     assert reflected.tolist() == below.tolist() == want_reflected
-    assert self_comp.tolist() == equal.tolist() == want_self
+    self_comp = [c.tobytes() == k.tobytes() for c, k in zip(want_comp, keys)]
+    assert equal.tolist() == self_comp
+    assert not (reflected & equal).any()
 
 
 def _limb_rows(values):
@@ -638,31 +639,18 @@ def test_group_sums_at_the_one_pass_boundary(monkeypatch, pairs, starts, one_pas
 
 @pytest.mark.parametrize("array_min_rows", [0, 10**9])
 def test_self_complementary_add_raises_at_2_128(monkeypatch, array_min_rows):
-    """The single edge joining 0 and n-1 is self-complementary, so both
-    counts of its parent flow into the direct slot: exact up to
-    2**128 - 1, carries out of the low limb included, refused at 2**128
-    on either expansion path."""
+    """The single edge joining 0 and n-1 is self-complementary, so its
+    child counts as direct and keeps both of its parent's counts, each in
+    its own slot, on either expansion path: they are never added, so two
+    counts whose sum reaches 2**128 are no overflow."""
     monkeypatch.setattr(search, "_ARRAY_MIN_ROWS", array_min_rows)
     root = root_map(6)
-    cases = ((2**64 - 1, 1, True), (2**127, 2**127 - 1, True), (2**127, 2**127, False))
-    for d, r, fits in cases:
+    for d, r in ((2**64 - 1, 1), (2**127, 2**127 - 1), (2**127, 2**127)):
         m = ClassMap(6, 5, root.keys, search._limbs([(d, r)]))
-        if fits:
-            assert pairs(expand_level(m).mult) == [(d + r, 0)]
-        else:
-            with pytest.raises(search.MultiplicityOverflow, match="128"):
-                expand_level(m)
-
-
-def test_self_complementary_entries_have_zero_reflected():
-    m = root_map(9)
-    while m.level > 0:
-        m = expand_level(m)
-        for row, (d, r) in zip(search._widen(m.keys), pairs(m.mult), strict=True):
-            assert d + r >= 1
-            key = row.tobytes()
-            if complement_key(key) == key:
-                assert r == 0
+        child = expand_level(m)
+        key = next(iter(child.entries))
+        assert complement_key(key) == key
+        assert pairs(child.mult) == [(d, r)]
 
 
 # -- finalize ---------------------------------------------------------------------
@@ -980,7 +968,7 @@ def test_maps_are_refused_for_another_constraint():
         finalize(maps[-1], TwoEndpoints(1, 0))
 
 
-def test_maps_resume_under_either_prune_setting():
+def test_maps_resume_exactly_from_every_level():
     """Pruning only drops slots that cannot reach a leaf satisfying the
     map's own constraint, so ``count(initial=)`` resumes exactly from
     every level of a run built for it."""

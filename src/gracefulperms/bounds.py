@@ -143,18 +143,20 @@ def integer_nth_root(x: int, k: int) -> int:
         raise ValueError("x must be non-negative")
     if x < 2 or k == 1:
         return x
-    # Start above the true root, then Newton steps descend monotonically.
+    # Integer Newton steps from above stop exactly at the root r.  The
+    # start 2**ceil(bits/k) exceeds x**(1/k), so t > r.  A step takes t to
+    # floor(((k - 1) t + x / t**(k - 1)) / k), the mean of k - 1 copies of
+    # t and x / t**(k - 1).  By AM-GM that mean is at least x**(1/k) >= r,
+    # so the step is at least r, an integer; and while t > r, t**k > x
+    # makes x / t**(k - 1) < t, so the step is below t.  So t falls
+    # strictly while t > r, never below r, and at t = r the step is not
+    # below t and the loop stops.
     t = 1 << -(-x.bit_length() // k)
     while True:
         nxt = ((k - 1) * t + x // t ** (k - 1)) // k
         if nxt >= t:
-            break
+            return t
         t = nxt
-    while t ** k > x:
-        t -= 1
-    while (t + 1) ** k <= x:
-        t += 1
-    return t
 
 
 def gamma_value(cnt: int, two_m: int) -> float:

@@ -96,8 +96,8 @@ _MAX_MERGE_ROWS = 2**32 - 1
 #: one chunk per level would add two level-sized copies.
 _ORIENT_ROWS = 1024
 
-#: Limb masks by a child's live-slot flags (bit 0 direct, bit 1 reflected):
-#: the limbs of a dead slot are cleared.
+#: Limb masks by a row's live-slot flags (``_live_slots``; bit 0 direct,
+#: bit 1 reflected): the limbs of a dead slot are cleared.
 _SLOT_MASKS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint64).repeat(2, axis=1)
 _SLOT_MASKS *= np.uint64(2**64 - 1)
 
@@ -641,11 +641,11 @@ def _dead_tests(n: int, level: int, constraint: Constraint):
     byte of that label lies in ``low..high``: the first list for the
     direct slot, the second for the reflected slot.  Both read the key as
     it is, so they hold for any state of the level, canonical or not: the
-    second list is the first one read on the complement.  The array path
-    (``_children``) applies them to each child before its key row is
-    built: the tested bytes are the parent's bytes at the tested labels
-    with the edge's writes applied.  ``finalize`` and the per-key loop
-    apply them to canonical keys.
+    second list is the first one read on the complement.  One rule
+    applies them: a child is pruned on its built key row.  The array path
+    (``_children``) builds every child's row and reads both lists off it
+    through ``_live_slots``, as ``finalize`` does on the terminal keys;
+    the per-key loop tests each canonical child key it builds.
     """
     ends = _endpoints(constraint)
     if not ends:
@@ -670,6 +670,16 @@ def _dead_rows(columns, tests) -> np.ndarray:
     return np.logical_or.reduce(
         [columns[label] - np.uint8(low) <= high - low for label, low, high in tests]
     )
+
+
+def _live_slots(keys: np.ndarray, dead) -> np.ndarray:
+    """One byte of flags per key row: bit 0 is set when the direct slot
+    survives ``dead[0]``, bit 1 when the reflected slot survives
+    ``dead[1]``.  The rows may be canonical or not."""
+    cols = keys.T
+    live = (~_dead_rows(cols, dead[0])).view(np.uint8)
+    live |= (~_dead_rows(cols, dead[1])).view(np.uint8) << 1
+    return live
 
 
 def _rows(keys: np.ndarray) -> np.ndarray:
@@ -854,12 +864,9 @@ def _children(n, k, keys, mult, dead):
     Children are generated edge by edge, in ``(u, row)`` order: one
     edge's children of parents in key order come out largely in key
     order, which the stable group sort merges as presorted runs.  The key
-    bytes are read label-major, one contiguous row per label.  Pruning
-    takes each child's bytes at the tested labels from the parent's
-    tested rows and applies the edge's writes to them as byte
-    comparisons, and decides which slots live from one byte of flags per
-    child, so dead children are dropped before their key rows are built
-    or their limbs gathered.
+    bytes are read label-major, one contiguous row per label.  Every
+    child's key row is built, then pruned on that row (``_live_slots``),
+    and limbs are gathered for the live children only.
     """
     m = n - k
     rows = len(keys)
@@ -877,33 +884,6 @@ def _children(n, k, keys, mult, dead):
     # puts an unused u or v's new byte over its zero.
     pu = np.where(cu != n + 1, cu - 1, u)
     pv = np.where(cv != n + 1, cv - 1, u + k)
-    if dead is not None:
-        # The child's bytes at the tested labels, one row per label.
-        labels = sorted({label for tests in dead for label, _, _ in tests})
-        lab = np.array(labels, dtype=np.uint8)[:, None]
-        at = np.take(cols[labels], row, axis=1)
-        u8, v8, pu8, pv8 = (x.astype(np.uint8) for x in (u, u + k, pu, pv))
-        at[(lab == u8) | (lab == v8)] = 0
-        np.copyto(at, pv8 + np.uint8(1), where=lab == pu8)
-        np.copyto(at, pu8 + np.uint8(1), where=lab == pv8)
-        at = dict(zip(labels, at))
-        # Bit 0 of a child's flags is its direct slot, bit 1 its reflected
-        # slot; a slot lives when the parent's slot holds nodes and the
-        # child does not die in it.  The direct count holds the child as it
-        # is; the reflected count holds its complement, which dies under
-        # dead[0] exactly when the child dies under dead[1].
-        held = ((mult[:, 0] | mult[:, 1]) != 0).view(np.uint8)
-        held |= ((mult[:, 2] | mult[:, 3]) != 0).view(np.uint8) << 1
-        live = np.take(held, row)
-        kill = _dead_rows(at, dead[1]).view(np.uint8) << 1
-        kill |= _dead_rows(at, dead[0]).view(np.uint8)
-        live &= ~kill
-        keep = np.flatnonzero(live)
-        row, u, pu, pv, live = (x[keep] for x in (row, u, pu, pv, live))
-        out = np.take(mult, row, axis=0)
-        out &= np.take(_SLOT_MASKS, live, axis=0)
-    else:
-        out = np.take(mult, row, axis=0)
     first = np.arange(len(row)) * n  # each child's first byte in the flat rows
     child = np.take(keys, row, axis=0)
     flat = child.reshape(-1)
@@ -911,7 +891,17 @@ def _children(n, k, keys, mult, dead):
     flat[first + u + k] = 0
     flat[first + pu] = pv + 1
     flat[first + pv] = pu + 1
-    return child, out
+    if dead is None:
+        return child, np.take(mult, row, axis=0)
+    # A child's slot lives when its parent's slot holds nodes and the
+    # child does not die in it.
+    held = ((mult[:, 0] | mult[:, 1]) != 0).view(np.uint8)
+    held |= ((mult[:, 2] | mult[:, 3]) != 0).view(np.uint8) << 1
+    live = np.take(held, row) & _live_slots(child, dead)
+    keep = np.flatnonzero(live)
+    out = np.take(mult, row[keep], axis=0)
+    out &= np.take(_SLOT_MASKS, live[keep], axis=0)
+    return np.take(child, keep, axis=0), out
 
 
 def _expand_keys(n, k, keys, mult, dead):
@@ -1023,10 +1013,7 @@ def finalize(cmap: ClassMap, constraint: Constraint = None) -> int:
     dead = _dead_tests(cmap.n, 0, constraint)
     if dead is None:
         return 2 * cmap.node_sum()
-    return sum(
-        _limb_sum(cmap.mult[~_dead_rows(cmap.keys.T, tests), 2 * slot : 2 * slot + 2])
-        for slot, tests in enumerate(dead)
-    )
+    return _limb_sum(cmap.mult & np.take(_SLOT_MASKS, _live_slots(cmap.keys, dead), axis=0))
 
 
 def count(

@@ -146,6 +146,14 @@ def test_integer_nth_root_randomized_exactness():
         x = rng.randint(0, 10 ** rng.randint(0, 40))
         t = integer_nth_root(x, k)
         assert t ** k <= x < (t + 1) ** k
+    # Exact powers and their neighbours, for k up to the bound runs'
+    # exponents 2m <= 80, where a Newton step that stopped one off would
+    # show.
+    for _ in range(300):
+        k = rng.randint(2, 80)
+        t = rng.randint(2, 10 ** rng.randint(1, 30))
+        for x, root in ((t**k - 1, t - 1), (t**k, t), (t**k + 1, t)):
+            assert integer_nth_root(x, k) == root, (x, k)
 
 
 def test_gamma_twenty_labels():

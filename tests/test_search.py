@@ -121,7 +121,7 @@ def test_dfs_constrained_20():
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_dfs_prune_toggle(n):
+def test_dfs_count_matches_filtered_enumeration(n):
     """The pruned walk against the unconstrained walk, which never prunes:
     its permutations filtered by each constraint's ends."""
     perms = enumerate_graceful(n).permutations
@@ -1016,6 +1016,19 @@ def test_initial_maps_must_hold_states_of_their_level():
     no_ends = ClassMap(4, 0, np.array([[0, 0, 0, 5]], dtype=np.uint8), root_map(4).mult)
     with pytest.raises(ValueError, match="row 0 is not a state on level 0"):
         count(4, initial=no_ends)
+    # The same on n = 2, the smallest n with a level 0 (10 would be
+    # counted, where G(2) is 2).
+    no_ends_2 = ClassMap(
+        2, 0, np.array([[0, 3]], dtype=np.uint8), np.array([[5, 0, 0, 0]], dtype=np.uint64)
+    )
+    with pytest.raises(ValueError, match="row 0 is not a state on level 0"):
+        count(2, initial=no_ends_2)
+    # A byte one above the unused byte n + 1, which the engine would read
+    # as the partner of label n.
+    byte_8 = root.keys.copy()
+    byte_8[0, -1] = 8
+    with pytest.raises(ValueError, match="row 0 is not a state on level 5"):
+        count(6, initial=ClassMap(6, 5, byte_8, root.mult))
     # The rule runs block by block and names the row in the whole map.
     maps = []
     count(12, on_level=maps.append)

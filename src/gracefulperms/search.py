@@ -91,9 +91,11 @@ _MERGE_ROWS = 2**15
 #: wrap.
 _MAX_MERGE_ROWS = 2**32 - 1
 
-#: Key rows that ``_orient`` translates at a time.  Its two temporary byte
-#: strings are this size: chunks of 4,096 rows already raised peak RSS, and
-#: one chunk per level would add two level-sized copies.
+#: Key rows that ``_orient`` translates at a time.  Its callers pass one
+#: block's children (``_expand_block``) or a loader block of _BLOCK_ROWS
+#: rows (``report._read_records``); unchunked, its two temporary byte
+#: strings would each be as large as those keys, which raised the traced
+#: peak of the widest count(36) expansion from 20.25 to 20.82 MiB.
 _ORIENT_ROWS = 1024
 
 #: Limb masks by a row's live-slot flags (``_live_slots``; bit 0 direct,
@@ -718,43 +720,6 @@ def _group(parts):
     return keys, mult
 
 
-def _join(runs):
-    """One (keys, mult) pair holding the rows of grouped runs, an iterable
-    in key order.
-
-    The pair's arrays grow in place (``ndarray.resize``) by the runs taken
-    since they last grew, as soon as those hold as many rows as the arrays
-    do.  So the runs are freed as they are written and the arrays are
-    resized a logarithmic number of times, instead of every range being
-    held until all are joined into a second copy of the output.
-    """
-    keys = mult = None
-    batch = []
-
-    def grow():
-        end = len(keys)
-        rows = sum(len(k) for k, _ in batch)
-        keys.resize((end + rows, keys.shape[1]), refcheck=False)
-        mult.resize((end + rows, 4), refcheck=False)
-        for k, m in batch:
-            keys[end : end + len(k)] = k
-            mult[end : end + len(k)] = m
-            end += len(k)
-        batch.clear()
-
-    for run in runs:
-        if keys is None:
-            keys = np.empty((0, run[0].shape[1]), dtype=np.uint8)
-            mult = np.empty((0, 4), dtype=np.uint64)
-        batch.append(run)
-        del run  # so that the batch is the run's only holder
-        if sum(len(k) for k, _ in batch) >= len(keys):
-            grow()
-    if batch:
-        grow()
-    return keys, mult
-
-
 def _merge(parts, size: int):
     """Grouped runs of at least ``size`` rows each, unless there is only
     one, in key order, from a list of sorted, duplicate-free (keys, mult)
@@ -790,8 +755,9 @@ def _fold(blocks):
     ``_MERGE_ROWS / 4``, replace it as buckets, so equal keys always share
     a bucket.  So the rows held beside the runs stay below
     the rows in them plus one block, and a merge takes about
-    ``_MERGE_ROWS`` rows at most.  Last, each bucket is grouped, written
-    into the output in key order and freed.
+    ``_MERGE_ROWS`` rows at most.  Last, every bucket is grouped and the
+    runs are joined in key order, the keys by one concatenation and then,
+    once the key runs are freed, the limbs by another.
     """
     size = max(1, _MERGE_ROWS // 4)
     buckets = None
@@ -810,7 +776,9 @@ def _fold(blocks):
         for i in reversed(range(len(buckets))):
             if sum(len(k) for k, _ in buckets[i]) > 2 * len(buckets[i][0][0]):
                 buckets[i : i + 1] = [[run] for run in _merge(buckets[i], size)]
-    return _join(bucket.pop() if len(bucket) == 1 else _group(bucket) for bucket in buckets)
+    keys, mult = zip(*(bucket.pop() if len(bucket) == 1 else _group(bucket) for bucket in buckets))
+    keys = np.concatenate(keys)  # frees the key runs before the limbs are joined
+    return keys, np.concatenate(mult)
 
 
 def _compare_rows(a: np.ndarray, b: np.ndarray):
@@ -1042,10 +1010,6 @@ def count(
     _check_constraint(n, constraint)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if n == 1:  # as in dfs_count
-        stats = (LevelStats(0, 1, 1, 0.0),)
-        return CountResult(n, constraint, 1, stats, time.perf_counter() - t0)
-
     if initial is not None:
         if initial.n != n:
             raise ValueError(f"initial map is for n={initial.n}, not n={n}")
@@ -1055,11 +1019,13 @@ def count(
             if bad.any():
                 row = start + int(bad.argmax())
                 raise ValueError(f"initial map row {row} is not a state on level {initial.level}")
-        # Hold the map only as the current level, so that it is freed once
-        # it has been expanded unless the caller keeps it.
-        cmap, initial = initial, None
-    else:
-        cmap = root_map(n)
+    if n == 1:  # as in dfs_count
+        stats = (LevelStats(0, 1, 1, 0.0),)
+        return CountResult(n, constraint, 1, stats, time.perf_counter() - t0)
+
+    # Hold the map only as the current level, so that it is freed once it
+    # has been expanded unless the caller keeps it.
+    cmap, initial = (root_map(n) if initial is None else initial), None
     stats = [LevelStats(cmap.level, len(cmap.keys), cmap.node_sum(), 0.0)]
 
     pool = None

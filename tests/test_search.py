@@ -305,6 +305,9 @@ def test_merge_matches_one_global_group(draw_keys, merge_rows):
     merged = tuple(np.concatenate(arrays) for arrays in zip(*runs))
     for keys, mult in (merged, folded):
         assert np.array_equal(keys, expected[0]) and np.array_equal(mult, expected[1])
+    # A level's key rows are read as void scalars (_rows), which needs them
+    # C-contiguous; so do the limbs that checkpoints write.
+    assert folded[0].flags.c_contiguous and folded[1].flags.c_contiguous
 
 
 def test_merge_cuts_its_group_by_position():
@@ -809,6 +812,8 @@ def test_count_resume_from_initial_map():
     assert resumed.levels[0].level == mid.level
     with pytest.raises(ValueError):
         count(19, c, initial=mid)
+    with pytest.raises(ValueError, match="initial map is for n=5, not n=1"):
+        count(1, initial=root_map(5))
 
 
 def test_count_frees_an_initial_map_the_caller_does_not_keep():

@@ -307,11 +307,11 @@ def estimated_level_bytes(n: int) -> int:
     Peak classes are estimated from measured ones (850 at n=20, 21k at
     n=30, 372k at n=40, growing about 1.33x per extra label).  Bytes per
     peak class and the fixed part come from the peak RSS of ``count(n)``
-    in a fresh process, single worker: 35.8, 48.4, 63.1 and 130.8 MiB at
+    in a fresh process, single worker: 35.6, 46.7, 61.3 and 126.1 MiB at
     n = 30, 34, 36 and 40, the highest run of each (the peak moves by a
     few MiB with how a process is started).  Above the 29 MiB that the
-    import takes, that is 235 to 275 bytes per estimated peak class at
-    n >= 34, 3.3 to 4.1 times the n + 32 bytes a stored class takes, and
+    import takes, that is 225 to 250 bytes per estimated peak class at
+    n >= 34, 3.1 to 3.8 times the n + 32 bytes a stored class takes, and
     more at n = 30, where fixed costs weigh most.  The estimate charges
     4 (n + 32) bytes per class above 34 MiB and is 39.3, 52.7, 69.2 and
     157.6 MiB at those n, above every measured peak, so the table command

@@ -95,7 +95,8 @@ _MAX_MERGE_ROWS = 2**32 - 1
 #: block's children (``_expand_block``) or a loader block of _BLOCK_ROWS
 #: rows (``report._read_records``); unchunked, its two temporary byte
 #: strings would each be as large as those keys, which raised the traced
-#: peak of the widest count(36) expansion from 20.25 to 20.82 MiB.
+#: peak of the widest count(36) expansion from 20.25 to 20.82 MiB (fresh
+#: processes did not peak higher: 125.1 against 126.7 MiB at count(40)).
 _ORIENT_ROWS = 1024
 
 #: Limb masks by a row's live-slot flags (``_live_slots``; bit 0 direct,

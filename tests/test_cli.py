@@ -212,7 +212,8 @@ def test_table_budget_refusal(capsys):
 
 
 def test_table_budget_refuses_forty_labels_in_136_mib(capsys):
-    # count(40) peaks at about 138 MiB, so this must refuse before starting.
+    # count(40) peaks at about 126 MiB, but estimated_level_bytes(40) is
+    # 157.6 MiB, so the table must refuse before starting.
     code, out, err = run(capsys, "table", "--from", "40", "--to", "40", "--budget-mb", "136")
     assert code == 1
     assert out == ""

@@ -138,7 +138,7 @@ def _cmd_table(args, parser) -> int:
 def _cmd_ratios(args, parser) -> int:
     if args.to_n < args.from_n + 1:
         parser.error("argument --to: ratios need at least --from + 1")
-    print(report.format_ratios(report.build_ratios(args.from_n, args.to_n)))
+    print(report.format_table(report.build_ratios(args.from_n, args.to_n)))
     return 0
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "build_table",
     "format_table",
     "build_ratios",
-    "format_ratios",
     "count_result_json",
     "estimated_level_bytes",
     "DEFAULT_BUDGET_MB",
@@ -347,7 +346,9 @@ def build_table(
     return [(n, count(n).count) for n in range(from_n, to_n + 1)]
 
 
-def format_table(rows: list[tuple[int, int]], fmt: str = "plain") -> str:
+def format_table(rows: list[tuple[int, Union[int, str]]], fmt: str = "plain") -> str:
+    """(n, value) rows as plain columns, CSV or JSON: ``build_table``'s
+    counts, or ``build_ratios``' ratios in the plain form."""
     if fmt == "plain":
         width = max(len(str(n)) for n, _ in rows)
         return "\n".join(f"{n:>{width}}  {value}" for n, value in rows)
@@ -369,10 +370,6 @@ def build_ratios(from_n: int, to_n: int) -> list[tuple[int, str]]:
         scaled = (b * 2000 + a) // (2 * a)
         out.append((n, f"{scaled // 1000}.{scaled % 1000:03d}"))
     return out
-
-
-def format_ratios(rows: list[tuple[int, str]]) -> str:
-    return format_table(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,6 @@ _MERGE_ROWS = 2**15
 #: wrap.
 _MAX_MERGE_ROWS = 2**32 - 1
 
-#: Key rows that ``_orient`` translates at a time.  Its callers pass one
-#: block's children (``_expand_block``) or a loader block of _BLOCK_ROWS
-#: rows (``report._read_records``); unchunked, its two temporary byte
-#: strings would each be as large as those keys, which raised the traced
-#: peak of the widest count(36) expansion from 20.25 to 20.82 MiB (fresh
-#: processes did not peak higher: 125.1 against 126.7 MiB at count(40)).
-_ORIENT_ROWS = 1024
-
 #: Limb masks by a row's live-slot flags (``_live_slots``; bit 0 direct,
 #: bit 1 reflected): the limbs of a dead slot are cleared.
 _SLOT_MASKS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint64).repeat(2, axis=1)
@@ -796,18 +788,12 @@ def _orient(keys: np.ndarray):
     partner p read as n - 1 - p) and whether it sorts strictly below the
     key (the row is reflected); a row equal to its complement is not.
 
-    The key bytes are mapped by ``bytes.translate``, ``_ORIENT_ROWS`` rows
-    at a time, into one array; the complement is a view of that array with
-    its columns reversed.
+    The key bytes are mapped by one ``bytes.translate``; the complement is
+    a read-only view of the mapped bytes with its columns reversed.
     """
     n = keys.shape[1]
-    table = _byte_tables(n)[0]
-    mapped = np.empty(keys.shape, dtype=np.uint8)
-    flat = mapped.reshape(-1)
-    for i in range(0, len(keys), _ORIENT_ROWS):
-        chunk = keys[i : i + _ORIENT_ROWS].tobytes().translate(table)
-        flat[i * n : i * n + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
-    comp = mapped[:, ::-1]
+    mapped = keys.tobytes().translate(_byte_tables(n)[0])
+    comp = np.frombuffer(mapped, dtype=np.uint8).reshape(-1, n)[:, ::-1]
     return comp, _compare_rows(comp, keys)[0]
 
 
@@ -972,13 +958,17 @@ def _expand(cmap: ClassMap, constraint: Constraint, mapper) -> ClassMap:
 def finalize(cmap: ClassMap, constraint: Constraint = None) -> int:
     """Read the count off a terminal map.
 
-    Unconstrained, every terminal node is doubled (a path is read from
-    either end); with a start label fixed, each node whose slot survives
-    the pruning rule at level 0 is read in exactly one direction.
+    On one label every node counts once under every constraint: the path
+    ``[0]`` reads the same both ways, and both of its ends are 0.
+    Otherwise, unconstrained, every terminal node is doubled (a path is
+    read from either end); with a start label fixed, each node whose slot
+    survives the pruning rule at level 0 is read in exactly one direction.
     """
     if cmap.level != 0:
         raise ValueError(f"finalize needs a terminal map, got level {cmap.level}")
     _check_map(cmap, constraint)
+    if cmap.n == 1:
+        return cmap.node_sum()
     dead = _dead_tests(cmap.n, 0, constraint)
     if dead is None:
         return 2 * cmap.node_sum()
@@ -1020,10 +1010,6 @@ def count(
             if bad.any():
                 row = start + int(bad.argmax())
                 raise ValueError(f"initial map row {row} is not a state on level {initial.level}")
-    if n == 1:  # as in dfs_count
-        stats = (LevelStats(0, 1, 1, 0.0),)
-        return CountResult(n, constraint, 1, stats, time.perf_counter() - t0)
-
     # Hold the map only as the current level, so that it is freed once it
     # has been expanded unless the caller keeps it.
     cmap, initial = (root_map(n) if initial is None else initial), None

@@ -22,7 +22,6 @@ from gracefulperms.report import (
     checkpoint_filename,
     count_result_json,
     find_resume_checkpoint,
-    format_ratios,
     format_table,
     load_checkpoint,
     read_checkpoint_header,
@@ -138,7 +137,7 @@ def test_ratios():
     assert rows[2] == (3, "1.000")
     assert rows[5] == (6, "1.333")  # 32/24 rounded half-up at 3 decimals
     assert len(rows) == 7
-    assert format_ratios(build_ratios(1, 4)).splitlines()[0].split() == ["1", "2.000"]
+    assert format_table(build_ratios(1, 4)).splitlines()[0].split() == ["1", "2.000"]
     with pytest.raises(ValueError):
         build_ratios(3, 3)
 
@@ -334,7 +333,7 @@ def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
     assert synced == [before, after, overwrite, after]
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, search._ORIENT_ROWS + 1])
+@pytest.mark.parametrize("block_rows", [1, 7, 1025])
 @pytest.mark.parametrize("n,c", [(24, None), (36, TwoEndpoints(9, 27))])
 def test_load_orients_blocks_like_the_table_lookup(tmp_path, monkeypatch, block_rows, n, c):
     """With small blocks, every complement the loader computes equals the

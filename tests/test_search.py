@@ -488,14 +488,14 @@ def _table_orient(keys):
 
 @pytest.mark.parametrize("n,c", [(24, None), (36, TwoEndpoints(9, 27))])
 def test_orient_chunks_match_the_table_lookup(n, c):
-    """At and around the chunk size, on the canonical keys of a level and
-    on their complements, which are reflected unless equal to the key."""
+    """On no rows, one row and around 1,024 rows, on the canonical keys of
+    a level and on their complements, which are reflected unless equal to
+    the key."""
     levels = []
     count(n, c, on_level=levels.append)
     keys = max(levels, key=lambda m: len(m.keys)).keys
-    chunk = search._ORIENT_ROWS
-    assert len(keys) > chunk + 1
-    for rows in (0, 1, chunk - 1, chunk, chunk + 1):
+    assert len(keys) > 1025
+    for rows in (0, 1, 1023, 1024, 1025):
         for part in (keys[:rows], _table_orient(keys[:rows])[0]):
             comp, reflected = search._orient(part)
             want_comp, want_reflected = _table_orient(part)
@@ -692,6 +692,17 @@ def test_count_26_constrained():
 def test_count_single_label_special_cases():
     assert count(1, OneEndpoint(0)).count == 1
     assert count(1, TwoEndpoints(0, 0)).count == 1
+
+
+def test_finalize_reads_a_single_label_map():
+    """The path [0] reads the same both ways and both of its ends are 0,
+    so a one-label terminal map counts each node once under every
+    constraint, whether finalize is called directly or through count."""
+    for c in (None, OneEndpoint(0), TwoEndpoints(0, 0)):
+        assert finalize(root_map(1), c) == brute_force_count(1, c) == 1
+    m = ClassMap(1, 0, np.array([[2]], dtype=np.uint8), np.array([[5, 0, 0, 0]], dtype=np.uint64))
+    assert finalize(m) == 5
+    assert count(1, initial=m).count == 5
 
 
 def test_count_same_endpoint_twice_is_zero():
